@@ -90,7 +90,7 @@ func main() {
 				if c, ok := r.(pmem.Crash); ok {
 					crashed = true
 					fmt.Printf("power failure injected at barrier %d (op %d)\n", c.Barrier, c.Op)
-					img = &pmem.Image{Layout: *workload, Data: dev.PersistedSnapshot()}
+					img = dev.PersistedImage([16]byte{}, *workload)
 					return
 				}
 				fmt.Fprintf(os.Stderr, "mapcli: program fault: %v\n", r)

@@ -56,7 +56,7 @@ func main() {
 
 		// Reboot: reopen the pool and re-attach the redo log (recovery
 		// replays a valid-but-unapplied batch).
-		img := &pmem.Image{Layout: "redo-demo", Data: dev.PersistedSnapshot()}
+		img := dev.PersistedImage([16]byte{}, "redo-demo")
 		pool2, err := pmemobj.Open(pmem.NewDeviceFromImage(img), "redo-demo")
 		if err != nil {
 			log.Fatal(err)

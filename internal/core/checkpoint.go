@@ -24,8 +24,10 @@ import (
 	"pmfuzz/internal/instr"
 )
 
-// checkpointVersion guards the state format.
-const checkpointVersion = 1
+// checkpointVersion guards the state format. Version 2 keys stored
+// images by the page-digest ID; a version 1 checkpoint's keys are
+// whole-pool SHA-256 sums that no longer verify.
+const checkpointVersion = 2
 
 type ckptBlob struct {
 	ID   string `json:"id"`

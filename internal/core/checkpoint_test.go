@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pmfuzz/internal/obs"
@@ -200,5 +204,63 @@ func TestCheckpointRejects(t *testing.T) {
 	}
 	if err := fp.RestoreCheckpoint(blob); err == nil {
 		t.Error("RestoreCheckpoint accepted a 2-worker session")
+	}
+}
+
+// TestCheckpointRejectsV1 pins the version guard: a version 1 checkpoint,
+// whose image keys are whole-pool SHA-256 sums, is refused with the
+// version error by both the peek and the restore, before any blob is
+// imported and could fail content verification.
+func TestCheckpointRejectsV1(t *testing.T) {
+	cfg, err := DefaultConfig("btree", PMFuzzAll, 1_000_000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.EnableCheckpoint(300_000); err != nil {
+		t.Fatal(err)
+	}
+	f.Run()
+	blob, err := f.SaveCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st map[string]any
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatal(err)
+	}
+	blobs, _ := st["blobs"].([]any)
+	if len(blobs) == 0 {
+		t.Fatal("checkpoint holds no images")
+	}
+	// Rewrite the state as the old format: version 1, every image keyed
+	// by a key that does not match its page-digest ID.
+	st["version"] = 1
+	for _, b := range blobs {
+		rec := b.(map[string]any)
+		sum := sha256.Sum256([]byte(rec["id"].(string)))
+		rec["id"] = hex.EncodeToString(sum[:])
+	}
+	v1, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const want = "checkpoint version 1 (want 2)"
+	if _, err := PeekCheckpointConfig(v1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("peek of a v1 checkpoint: got %v, want the version error", err)
+	}
+	fr, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.RestoreCheckpoint(v1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("restore of a v1 checkpoint: got %v, want the version error", err)
+	}
+	if fr.store.Len() != 0 {
+		t.Fatalf("refused restore imported %d images", fr.store.Len())
 	}
 }

@@ -1090,7 +1090,6 @@ func (f *Fuzzer) harvestImages(parent *fuzz.Entry, tc executor.TestCase, res *ex
 	if f.clock.Now() < f.cfg.BudgetNS {
 		sw := executor.SweepRun(tc, executor.Options{Clock: f.clock, MaxCommands: f.cfg.MaxCommands, Arena: f.arena, Shard: f.shard})
 		f.execs++
-		sw.EnableIncrementalHash()
 		n := f.cfg.MaxBarrierImages
 		if n > sw.Barriers() {
 			n = sw.Barriers()

@@ -312,8 +312,9 @@ func (w *worker) execCase(parent *fuzz.Entry, input []byte, img *imageRef) *exec
 //
 // Like the serial loop, the barrier leg is single-pass: one journaled
 // re-execution materializes every sampled ordering point from its delta
-// journal. The incremental hasher stamps each image's content hash, so
-// the coordinator's dedup Put does not re-hash shipped images.
+// journal. Each image carries a leaf vector derived from its sweep
+// predecessor's, so the coordinator's dedup Put costs a root pass, not a
+// pool-sized hash.
 func (w *worker) harvestCrashImages(tc executor.TestCase, res *executor.Result, o *execOutcome) {
 	if w.cfg.MaxBarrierImages <= 0 {
 		return
@@ -321,7 +322,6 @@ func (w *worker) harvestCrashImages(tc executor.TestCase, res *executor.Result, 
 	if w.clock.Now() < w.cfg.BudgetNS {
 		sw := executor.SweepRun(tc, executor.Options{Clock: w.clock, MaxCommands: w.cfg.MaxCommands, Arena: w.arena, Shard: w.shard})
 		o.execs++
-		sw.EnableIncrementalHash()
 		n := w.cfg.MaxBarrierImages
 		if n > sw.Barriers() {
 			n = sw.Barriers()

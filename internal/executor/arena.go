@@ -123,12 +123,12 @@ func (a *Arena) Recycle(res *Result) {
 // RecycleImage donates an image's data buffer to the snapshot pool. Call
 // it only for images that are fully consumed (serialized into the store,
 // diffed, or discarded) and not retained anywhere: the next execution on
-// this arena will overwrite the buffer. The image is emptied so a stale
-// use fails loudly.
+// this arena will overwrite the buffer. The image is emptied, its leaf
+// vector and ID memo dropped with the data, so a stale use fails loudly.
 func (a *Arena) RecycleImage(img *pmem.Image) {
 	if img == nil || img.Data == nil || len(a.bufs) >= arenaMaxBufs {
 		return
 	}
 	a.bufs = append(a.bufs, img.Data)
-	img.Data = nil
+	*img = pmem.Image{UUID: img.UUID, Layout: img.Layout}
 }

@@ -248,12 +248,12 @@ func run(tc TestCase, opts Options, sh *runExtras) (*Result, *runExtras) {
 				res.Crashed = true
 				res.Crash = c
 				res.LostAtCrash = dev.UnpersistedRanges()
-				res.Image = &pmem.Image{Layout: tc.Workload, Data: dev.PersistedSnapshot()}
+				res.Image = dev.PersistedImage([16]byte{}, tc.Workload)
 				return
 			}
 			res.Panicked = true
 			res.PanicVal = r
-			res.Image = &pmem.Image{Layout: tc.Workload, Data: dev.PersistedSnapshot()}
+			res.Image = dev.PersistedImage([16]byte{}, tc.Workload)
 		}()
 		if err := prog.Setup(env); err != nil {
 			res.Err = fmt.Errorf("setup: %w", err)

@@ -25,11 +25,6 @@ type SweepResult struct {
 	cursor      *pmem.SweepCursor
 	cmdStartOps []int
 
-	// Incremental hashing across sibling barrier images (enabled by
-	// EnableIncrementalHash; used by the fuzzer, not the checkers).
-	hasher     *pmem.ImageHasher
-	lastHashed int // barrier index of the previous incremental hash
-
 	// emptyTracer is lazily shared by every materialized Result: the
 	// truncated replay a materialization stands in for never traced
 	// anything, so all those results carry identical, permanently empty
@@ -76,17 +71,11 @@ func (s *SweepResult) Barriers() int {
 	return s.sweep.Barriers()
 }
 
-// EnableIncrementalHash makes subsequent ascending Crash(b) calls stamp
-// each materialized image with a hash resumed from the previous sibling's
-// SHA-256 midstate, skipping the unchanged prefix. Only worthwhile for
-// callers that hash every image (the fuzzer's image store); checkers that
-// never hash should leave it off.
-func (s *SweepResult) EnableIncrementalHash() {
-	if s.sweep == nil || s.hasher != nil {
-		return
-	}
-	s.hasher = pmem.NewImageHasher([16]byte{}, s.layout)
-}
+// EnableIncrementalHash does nothing. Every materialized crash image
+// carries a leaf vector derived from the previous point's, so its ID
+// always costs only the changed pages; the method stays for callers
+// written against the earlier opt-in hasher.
+func (s *SweepResult) EnableIncrementalHash() {}
 
 // commandsAt reconstructs the Commands counter at a crash at PM-op x: the
 // number of command lines whose execution had started by then.
@@ -114,14 +103,9 @@ func (s *SweepResult) Crash(b int) *Result {
 	defer s.opts.Shard.End(obs.StageSweep, s.opts.Shard.Begin())
 	cp := s.sweep.Checkpoint(b)
 	before := s.cursor.AppliedLines()
-	data := s.cursor.ImageData(b)
+	img := s.cursor.Image(b, s.layout)
 	s.charge(before)
 
-	img := &pmem.Image{Layout: s.layout, Data: data}
-	if s.hasher != nil {
-		img.SetPrecomputedHash(s.hasher.Sum(data, s.hashResumeOffset(b, len(data))))
-		s.lastHashed = b
-	}
 	return &Result{
 		Tracer:      s.materializedTracer(),
 		Image:       img,
@@ -152,12 +136,12 @@ func (s *SweepResult) PreFenceCrash(b int) *Result {
 	}
 	defer s.opts.Shard.End(obs.StageSweep, s.opts.Shard.Begin())
 	before := s.cursor.AppliedLines()
-	data := s.cursor.PreFenceData(b)
+	img := s.cursor.PreFenceImage(b, s.layout)
 	s.charge(before)
 
 	return &Result{
 		Tracer:      s.materializedTracer(),
-		Image:       &pmem.Image{Layout: s.layout, Data: data},
+		Image:       img,
 		Crashed:     true,
 		Crash:       pmem.Crash{Barrier: -1, Op: cp.PreOp},
 		LostAtCrash: append([]pmem.Range(nil), cp.PreLost...),
@@ -270,22 +254,4 @@ func CrashClassKey(res *Result) uint64 {
 		k = 1 // keep 0 reserved for "unclassified"
 	}
 	return k
-}
-
-// hashResumeOffset returns the smallest byte offset whose content may
-// differ between the previously hashed barrier image and barrier b's —
-// the minimum delta line over the checkpoints in between. Descending or
-// repeated hashing falls back to a full pass (offset 0).
-func (s *SweepResult) hashResumeOffset(b, size int) int {
-	if s.lastHashed == 0 || b <= s.lastHashed {
-		return 0
-	}
-	min := size
-	for j := s.lastHashed + 1; j <= b; j++ {
-		d := s.sweep.Checkpoint(j).Delta
-		if len(d) > 0 && d[0].Line*pmem.LineSize < min {
-			min = d[0].Line * pmem.LineSize
-		}
-	}
-	return min
 }

@@ -1,12 +1,13 @@
 package imgstore
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"sort"
+
+	"pmfuzz/internal/pmem"
 )
 
 // Store-to-store blob transfer, used by the campaign sync layer and by
@@ -184,8 +185,8 @@ func (s *Store) verifyFullBlob(id ID, blob []byte) (int64, error) {
 		return 0, err
 	}
 	// Layout: magic(8) | uuid(16) | layoutLen(8 LE) | layout |
-	// dataLen(8 LE) | data | sha256(32). The content hash covers
-	// uuid ++ layout ++ data.
+	// dataLen(8 LE) | data | sha256(32). The content hash is the page
+	// digest of uuid, layout and data.
 	const magicLen, uuidLen, lenField, sumLen = 8, 16, 8, 32
 	p := magicLen
 	if len(raw) < p+uuidLen+lenField {
@@ -195,25 +196,19 @@ func (s *Store) verifyFullBlob(id ID, blob []byte) (int64, error) {
 	p += uuidLen
 	llen := int(binary.LittleEndian.Uint64(raw[p : p+lenField]))
 	p += lenField
-	if llen < 0 || len(raw) < p+llen+lenField {
+	if llen < 0 || llen > len(raw)-p-lenField {
 		return 0, fmt.Errorf("imgstore: corrupt full blob %s: layout length", id)
 	}
 	layout := raw[p : p+llen]
 	p += llen
 	dlen := int(binary.LittleEndian.Uint64(raw[p : p+lenField]))
 	p += lenField
-	if dlen < 0 || len(raw) < p+dlen+sumLen {
+	if dlen < 0 || dlen > len(raw)-p-sumLen {
 		return 0, fmt.Errorf("imgstore: corrupt full blob %s: data length", id)
 	}
 	data := raw[p : p+dlen]
 
-	h := sha256.New()
-	h.Write(uuid)
-	h.Write(layout)
-	h.Write(data)
-	var got ID
-	h.Sum(got[:0])
-	if got != id {
+	if got := ID(pmem.ContentHash([16]byte(uuid), string(layout), data)); got != id {
 		return 0, fmt.Errorf("imgstore: import blob content hash mismatch: want %s got %s", id, got)
 	}
 	return int64(len(raw)), nil

@@ -406,6 +406,11 @@ func (s *Store) decodeDepth(id ID, clock *pmem.Clock, depth int) (*pmem.Image, e
 		if err != nil {
 			return nil, fmt.Errorf("imgstore: %w", err)
 		}
+		// Sealing attaches the leaf vector images run on and derive
+		// from, and checks the content against its key.
+		if ID(img.Seal()) != id {
+			return nil, fmt.Errorf("imgstore: corrupt full blob %s: content hash mismatch", id)
+		}
 		return img, nil
 	case blobDelta:
 		return s.decodeDelta(id, blob, clock, depth)
@@ -427,7 +432,7 @@ func (s *Store) decodeDelta(id ID, blob []byte, clock *pmem.Clock, depth int) (*
 	var uuid [16]byte
 	p += copy(uuid[:], blob[p:])
 	layoutLen, n := binary.Uvarint(blob[p:])
-	if n <= 0 || p+n+int(layoutLen) > len(blob) {
+	if n <= 0 || layoutLen > uint64(len(blob)-p-n) {
 		return nil, corrupt("layout length")
 	}
 	p += n
@@ -455,6 +460,7 @@ func (s *Store) decodeDelta(id ID, blob []byte, clock *pmem.Clock, depth int) (*
 	}
 
 	data := append([]byte(nil), base.Data...)
+	var runs []pmem.Range
 	q := 0
 	nRuns, n := binary.Uvarint(payload[q:])
 	if n <= 0 {
@@ -472,19 +478,23 @@ func (s *Store) decodeDelta(id ID, blob []byte, clock *pmem.Clock, depth int) (*
 			return nil, corrupt("run length")
 		}
 		q += n
-		if off+runLen > uint64(len(data)) || q+int(runLen) > len(payload) {
+		if off > uint64(len(data)) || runLen > uint64(len(data))-off || runLen > uint64(len(payload)-q) {
 			return nil, corrupt("run out of range")
 		}
 		copy(data[off:off+runLen], payload[q:q+int(runLen)])
+		runs = append(runs, pmem.Range{Off: int(off), Len: int(runLen)})
 		q += int(runLen)
 	}
 
+	// Every byte a run wrote lies in a page the derived ID rehashes, so
+	// the check below is a real verification, at the cost of those pages.
 	img := &pmem.Image{UUID: uuid, Layout: layout, Data: data}
+	img.DeriveFrom(base, runs)
 	if got := ID(img.Hash()); got != id {
 		return nil, corrupt("reconstructed hash mismatch")
 	}
-	// The hash was just verified against the content-addressed key;
-	// memoize it so later Puts of this image skip the SHA pass.
+	// Memoize the verified ID so later Puts of this image skip the root
+	// pass.
 	img.SetPrecomputedHash([32]byte(id))
 	return img, nil
 }

@@ -278,7 +278,7 @@ func (c *Checker) scan(tc executor.TestCase, opts Options, maxB, maxV int) *Repo
 
 	for b := 1; b <= maxB; b++ {
 		if opts.PreFence {
-			// Before ImageData(b), so the cursor moves strictly forward.
+			// Before Crash(b), so the cursor moves strictly forward.
 			if res := sw.PreFenceCrash(b); res != nil {
 				rep.Checked++
 				if v := c.judge(tc, res, b, true, prefixes, opts, st); v != nil {

@@ -40,10 +40,26 @@ func BenchmarkImageMarshal(b *testing.B) {
 	}
 }
 
+// BenchmarkImageHash measures a 1 MiB image's ID: "cold" hashes every
+// page, "derived" rehashes one dirty page over a base's leaves and runs
+// the root pass — the cost a crash image pays.
 func BenchmarkImageHash(b *testing.B) {
-	img := &Image{Layout: "bench", Data: make([]byte, 1<<20)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = img.Hash()
-	}
+	base := &Image{Layout: "bench", Data: make([]byte, 1<<20)}
+	base.Seal()
+	b.Run("cold", func(b *testing.B) {
+		img := &Image{Layout: "bench", Data: base.Data}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = img.Hash()
+		}
+	})
+	b.Run("derived", func(b *testing.B) {
+		img := &Image{Layout: "bench", Data: append([]byte(nil), base.Data...)}
+		img.Data[5*PageSize+7] = 1
+		img.DeriveFrom(base, []Range{{Off: 5*PageSize + 7, Len: 1}})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = img.Hash()
+		}
+	})
 }

@@ -14,11 +14,11 @@ package pmem
 // entirely from data the journal already holds — no image is ever
 // materialized:
 //
-//   - ImageHash: the content hash of the crash state, bit-identical to
-//     Image.Hash on the materialized image (zero UUID). Computed by
-//     walking ONE working buffer forward through the journal, applying
-//     each point's delta in place and resuming the SHA-256 ladder from
-//     the first changed byte (ImageHasher midstate resume).
+//   - ImageHash: the ID of the crash state, bit-identical to Image.Hash
+//     on the materialized image (zero UUID). Computed by walking ONE
+//     working buffer forward through the journal, applying each point's
+//     delta in place and rehashing only the pages the delta wrote before
+//     the root pass (the page digest of digest.go).
 //   - TaintSig: the shape of the taint set (Checkpoint.Lost / PreLost) —
 //     which byte ranges were written but never persisted.
 //   - CVCount/CVHash: how many commit-variable ranges were registered at
@@ -32,7 +32,7 @@ package pmem
 // Fingerprint identifies one crash point's recovery-relevant state,
 // derived from the sweep journal without materializing the image.
 type Fingerprint struct {
-	// ImageHash is the crash image's content hash (equal to
+	// ImageHash is the crash image's ID (equal to
 	// Image{Layout: layout, Data: data}.Hash() with a zero UUID).
 	ImageHash [32]byte
 	// TaintSig digests the taint-set shape: FNV-1a over the (Off, Len)
@@ -50,21 +50,19 @@ type Fingerprint struct {
 // keeps a single working buffer: for each barrier it applies PreDelta in
 // place, fingerprints the pre-fence state, then applies the full Delta on
 // top (PreDelta is a subset of Delta with identical bytes, so the
-// re-application is a no-op) and fingerprints the barrier state. Hashing
-// resumes from the first byte changed since the previous fingerprint, so
-// sibling states pay only for their suffix. Forward access is O(delta)
-// per point; seeking backwards rebuilds from the base.
+// re-application is a no-op) and fingerprints the barrier state. Only
+// the pages written since the previous fingerprint are rehashed, so
+// sibling states pay for their delta plus the root pass. Forward access
+// is O(delta) per point; seeking backwards rebuilds from the base.
 type Partitioner struct {
 	s      *Sweep
-	hasher *ImageHasher
+	layout string
 	buf    []byte
+	leaves leafTracker
 	// pos counts barriers applied to buf; prePending is the barrier whose
 	// PreDelta is applied on top of pos (0 = none).
 	pos        int
 	prePending int
-	// minChanged is the smallest byte offset at which buf may differ from
-	// the data of the previous hash (len(buf) = nothing changed).
-	minChanged int
 	// appliedLines counts delta lines applied (rebuilds included) — the
 	// unit the simulated clock charges for materialization, mirroring
 	// SweepCursor.
@@ -79,29 +77,23 @@ type Partitioner struct {
 // points. layout must match the layout of the images the sweep's cursor
 // materializes, so ImageHash values agree with Image.Hash.
 func (s *Sweep) Partition(layout string) *Partitioner {
-	return &Partitioner{
+	p := &Partitioner{
 		s:      s,
-		hasher: NewImageHasher([16]byte{}, layout),
+		layout: layout,
 		buf:    append([]byte(nil), s.base...),
 		cvN:    -1,
 	}
+	p.leaves.reset(s.leaves)
+	return p
 }
 
 // AppliedLines returns the cumulative count of delta lines applied.
 func (p *Partitioner) AppliedLines() int { return p.appliedLines }
 
 func (p *Partitioner) applyDelta(ds []LineDelta) {
-	for _, ld := range ds {
-		copy(p.buf[ld.Line*LineSize:], ld.Data)
-		p.appliedLines++
-	}
-	// Delta lines are in ascending line order, so the first entry bounds
-	// the changed region from below.
-	if len(ds) > 0 {
-		if off := ds[0].Line * LineSize; off < p.minChanged {
-			p.minChanged = off
-		}
-	}
+	applyDeltaTo(p.buf, ds)
+	p.leaves.markLines(ds)
+	p.appliedLines += len(ds)
 }
 
 // ensure brings buf to the persisted state after barrier b-1 (possibly
@@ -110,7 +102,8 @@ func (p *Partitioner) applyDelta(ds []LineDelta) {
 func (p *Partitioner) ensure(b int) {
 	if (p.prePending != 0 && p.prePending != b) || p.pos > b-1 {
 		copy(p.buf, p.s.base)
-		p.pos, p.prePending, p.minChanged = 0, 0, 0
+		p.leaves.reset(p.s.leaves)
+		p.pos, p.prePending = 0, 0
 	}
 	for p.pos < b-1 {
 		p.applyDelta(p.s.cps[p.pos].Delta)
@@ -119,7 +112,7 @@ func (p *Partitioner) ensure(b int) {
 }
 
 // PreFence fingerprints the crash at barrier b's pre-fence op — the
-// state SweepCursor.PreFenceData(b) materializes. ok is false when the
+// state SweepCursor.PreFenceImage(b) materializes. ok is false when the
 // fence is the execution's first PM operation (no operation to fail at),
 // matching SweepResult.PreFenceCrash's guard. Call before Barrier(b) to
 // keep the walk strictly forward.
@@ -135,7 +128,7 @@ func (p *Partitioner) PreFence(b int) (fp Fingerprint, ok bool) {
 }
 
 // Barrier fingerprints the crash at barrier b — the state
-// SweepCursor.ImageData(b) materializes.
+// SweepCursor.Image(b) materializes.
 func (p *Partitioner) Barrier(b int) Fingerprint {
 	p.ensure(b)
 	// The full Delta re-applies any pending PreDelta lines with identical
@@ -151,14 +144,13 @@ func (p *Partitioner) Barrier(b int) Fingerprint {
 // CommitVars would expose.
 func (p *Partitioner) point(lost []Range, cvCount int) Fingerprint {
 	rs := p.cvRangesAt(cvCount)
-	fp := Fingerprint{
-		ImageHash: p.hasher.Sum(p.buf, p.minChanged),
+	p.leaves.sync(p.buf)
+	return Fingerprint{
+		ImageHash: rootOf([16]byte{}, p.layout, p.buf, p.leaves.leaves, nil),
 		TaintSig:  TaintSignature(lost),
 		CVCount:   len(rs),
 		CVHash:    CommitVarSignature(rs, p.buf),
 	}
-	p.minChanged = len(p.buf)
-	return fp
 }
 
 func (p *Partitioner) cvRangesAt(n int) []Range {

@@ -37,7 +37,7 @@ func scriptSweep(t *testing.T, size int, seed int64, steps int) *Sweep {
 	if sw == nil || sw.Barriers() == 0 {
 		t.Fatalf("seed %d: no journal", seed)
 	}
-	_ = d.Close()
+	_ = d.Close([16]byte{}, "")
 	return sw
 }
 
@@ -78,7 +78,7 @@ func TestPartitionerMatchesCursor(t *testing.T) {
 				if !ok {
 					t.Fatalf("seed %d barrier %d: PreFence refused an existing point", seed, b)
 				}
-				want := wantFP(cur.PreFenceData(b), cp.PreLost, cp.PreCommitVarCount)
+				want := wantFP(cur.PreFenceImage(b, "").Data, cp.PreLost, cp.PreCommitVarCount)
 				if fp != want {
 					t.Fatalf("seed %d barrier %d: pre-fence fingerprint differs:\n got %+v\nwant %+v", seed, b, fp, want)
 				}
@@ -87,7 +87,7 @@ func TestPartitionerMatchesCursor(t *testing.T) {
 				t.Fatalf("seed %d barrier %d: PreFence accepted a nonexistent point", seed, b)
 			}
 			fp := part.Barrier(b)
-			want := wantFP(cur.ImageData(b), cp.Lost, cp.CommitVarCount)
+			want := wantFP(cur.Image(b, "").Data, cp.Lost, cp.CommitVarCount)
 			if fp != want {
 				t.Fatalf("seed %d barrier %d: barrier fingerprint differs:\n got %+v\nwant %+v", seed, b, fp, want)
 			}
@@ -127,18 +127,18 @@ func TestSweepCursorSeekOrder(t *testing.T) {
 	prefence := make(map[int][]byte)
 	for b := 1; b <= sw.Barriers(); b++ {
 		if sw.Checkpoint(b).PreOp >= 1 {
-			prefence[b] = fwd.PreFenceData(b)
+			prefence[b] = fwd.PreFenceImage(b, "").Data
 		}
-		images[b] = fwd.ImageData(b)
+		images[b] = fwd.Image(b, "").Data
 	}
 
 	// Strictly backward on one persistent cursor.
 	back := sw.Cursor()
 	for b := sw.Barriers(); b >= 1; b-- {
-		if !bytes.Equal(back.ImageData(b), images[b]) {
+		if !bytes.Equal(back.Image(b, "").Data, images[b]) {
 			t.Fatalf("backward seek to %d diverges", b)
 		}
-		if want, ok := prefence[b]; ok && !bytes.Equal(back.PreFenceData(b), want) {
+		if want, ok := prefence[b]; ok && !bytes.Equal(back.PreFenceImage(b, "").Data, want) {
 			t.Fatalf("backward pre-fence seek to %d diverges", b)
 		}
 	}
@@ -147,7 +147,7 @@ func TestSweepCursorSeekOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 32; i++ {
 		b := 1 + rng.Intn(sw.Barriers())
-		if !bytes.Equal(back.ImageData(b), images[b]) {
+		if !bytes.Equal(back.Image(b, "").Data, images[b]) {
 			t.Fatalf("random seek to %d diverges", b)
 		}
 	}

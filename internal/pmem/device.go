@@ -121,12 +121,18 @@ type Device struct {
 	lastBase     *Image
 	lastBaseData []byte
 	lastEmpty    bool
+	// baseLeaves is the leaf vector of the state the last reset restored
+	// (the base image's, or zero pages), computed on first use and kept
+	// across fast resets onto the same base. Shared with output images,
+	// so never written in place.
+	baseLeaves []byte
 
 	// scratch buffers for sorted line collection (UnpersistedRanges and
 	// the sweep checkpoint capture); reused across calls.
-	scratchA []int
-	scratchB []int
-	scratchC []int
+	scratchA     []int
+	scratchB     []int
+	scratchC     []int
+	scratchPages []int32
 
 	tracer    *instr.Tracer
 	sink      trace.Sink
@@ -228,9 +234,11 @@ func (d *Device) resetState(size int, base *Image) {
 	case base != nil:
 		copy(d.persisted, base.Data)
 		copy(d.volatile, base.Data)
+		d.baseLeaves = nil
 	default:
 		clear(d.persisted)
 		clear(d.volatile)
+		d.baseLeaves = nil
 	}
 	if base != nil {
 		d.lastBase, d.lastBaseData, d.lastEmpty = base, base.Data, false
@@ -644,6 +652,60 @@ func (d *Device) PersistedSnapshot() []byte {
 	return out
 }
 
+// PersistedImage is PersistedSnapshot as an image with the given
+// identity. Its leaf vector derives from the base's: only pages holding
+// lines written since the last reset are rehashed when its ID is
+// needed, since no other persisted byte can have changed. On a base
+// without leaves the image has none either, and Hash pays a cold pass
+// only if it is called.
+func (d *Device) PersistedImage(uuid [16]byte, layout string) *Image {
+	img := &Image{UUID: uuid, Layout: layout, Data: d.PersistedSnapshot()}
+	if base := d.baseLeafVec(); base != nil {
+		img.leaves, img.stale = base, append([]int32(nil), d.touchedPages()...)
+	}
+	return img
+}
+
+// baseLeafVec returns the leaf vector of the state the last reset
+// restored: derived from the zero-page leaf for an empty base, lent by
+// the base image otherwise, and nil when the base image has none.
+func (d *Device) baseLeafVec() []byte {
+	if d.baseLeaves == nil {
+		switch {
+		case d.lastBase == nil:
+			d.baseLeaves = zeroLeaves(len(d.persisted))
+		case d.lastBase.hasLeaves():
+			d.baseLeaves = d.lastBase.exactLeaves()
+		}
+	}
+	return d.baseLeaves
+}
+
+// touchedPages returns the pages holding lines written since the last
+// reset, ascending, in a device-owned buffer valid until the next call.
+func (d *Device) touchedPages() []int32 {
+	d.scratchPages = d.scratchPages[:0]
+	for _, l := range d.touchList {
+		d.scratchPages = append(d.scratchPages, pageOfLine(int(l)))
+	}
+	d.scratchPages = uniquePages(d.scratchPages)
+	return d.scratchPages
+}
+
+// persistedLeaves returns the leaf vector of the current persisted state.
+func (d *Device) persistedLeaves() []byte {
+	base, pages := d.baseLeafVec(), d.touchedPages()
+	switch {
+	case base == nil:
+		return coldLeaves(d.persisted)
+	case len(pages) == 0:
+		return base
+	}
+	leaves := append([]byte(nil), base...)
+	rehashPages(leaves, d.persisted, pages)
+	return leaves
+}
+
 // VolatileSnapshot returns a copy of the program-visible state.
 func (d *Device) VolatileSnapshot() []byte {
 	out := d.snapBuf()
@@ -652,8 +714,10 @@ func (d *Device) VolatileSnapshot() []byte {
 }
 
 // Close persists all outstanding writes (as an orderly munmap/close would)
-// and marks the device closed. It returns the final durable contents.
-func (d *Device) Close() []byte {
+// and marks the device closed. It returns the final durable contents as
+// an image with the given identity, its leaf vector derived as in
+// PersistedImage.
+func (d *Device) Close(uuid [16]byte, layout string) *Image {
 	if !d.closed {
 		if d.nDirty > 0 || d.nQueued > 0 {
 			// Every non-clean line has at least one (possibly stale)
@@ -681,7 +745,7 @@ func (d *Device) Close() []byte {
 		}
 		d.closed = true
 	}
-	return d.PersistedSnapshot()
+	return d.PersistedImage(uuid, layout)
 }
 
 // Range is a byte range on the device.

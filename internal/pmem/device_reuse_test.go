@@ -32,7 +32,7 @@ func TestDeviceReuseAcrossCrashHangClean(t *testing.T) {
 	// Reference: a fresh device per run.
 	ref := NewDevice(size)
 	scriptedRun(ref)
-	want := ref.Close()
+	want := ref.Close([16]byte{}, "").Data
 
 	reused := NewDevice(size)
 
@@ -75,7 +75,7 @@ func TestDeviceReuseAcrossCrashHangClean(t *testing.T) {
 		t.Fatalf("unpersisted ranges after reset = %v, want none", rs)
 	}
 	scriptedRun(reused)
-	got := reused.Close()
+	got := reused.Close([16]byte{}, "").Data
 
 	if !bytes.Equal(got, want) {
 		t.Fatalf("reused-device image differs from fresh-device image")
@@ -95,12 +95,12 @@ func TestDeviceResetFromImageFastPath(t *testing.T) {
 	seed.Store(0, []byte("base image content"), site)
 	seed.Flush(0, 18, site)
 	seed.Fence(site)
-	base := &Image{Layout: "t", Data: seed.Close()}
+	base := &Image{Layout: "t", Data: seed.Close([16]byte{}, "").Data}
 
 	want := func() []byte {
 		d := NewDeviceFromImage(base)
 		scriptedRun(d)
-		return d.Close()
+		return d.Close([16]byte{}, "").Data
 	}()
 
 	d := NewDeviceFromImage(base)
@@ -113,7 +113,7 @@ func TestDeviceResetFromImageFastPath(t *testing.T) {
 		}()
 		d.Reset(base)
 		scriptedRun(d)
-		got := d.Close()
+		got := d.Close([16]byte{}, "").Data
 		if !bytes.Equal(got, want) {
 			t.Fatalf("round %d: reset-device image differs from fresh NewDeviceFromImage", i)
 		}

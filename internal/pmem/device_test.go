@@ -78,7 +78,7 @@ func TestNTStoreQueuesWithoutFlush(t *testing.T) {
 func TestClosePersistsEverything(t *testing.T) {
 	d := NewDevice(256)
 	d.Store(100, []byte{5, 6}, site)
-	data := d.Close()
+	data := d.Close([16]byte{}, "").Data
 	if data[100] != 5 || data[101] != 6 {
 		t.Fatalf("Close did not persist dirty data")
 	}
@@ -86,7 +86,7 @@ func TestClosePersistsEverything(t *testing.T) {
 
 func TestClosedDevicePanics(t *testing.T) {
 	d := NewDevice(64)
-	d.Close()
+	d.Close([16]byte{}, "")
 	defer func() {
 		if recover() == nil {
 			t.Fatalf("store on closed device did not panic")
@@ -384,7 +384,7 @@ func pmemImageHelper(t *testing.T) *Image {
 	t.Helper()
 	d := NewDevice(256)
 	d.Store(8, []byte{0xab}, site)
-	data := d.Close()
+	data := d.Close([16]byte{}, "").Data
 	img := &Image{Layout: "t", Data: data}
 	d2 := NewDeviceFromImage(img)
 	b := make([]byte, 1)

@@ -22,9 +22,18 @@ type Image struct {
 	// Data is the raw pool contents.
 	Data []byte
 
-	// hash memoizes the content hash when it was derived incrementally or
+	// leaves is the page-leaf vector the ID derives from (nil: unknown,
+	// and Hash makes a cold pass). Pages listed in stale (ascending, no
+	// duplicates) may differ from it and are rehashed from Data when the
+	// ID is needed. leaves may be shared with other images and is never
+	// written once attached.
+	leaves []byte
+	stale  []int32
+
+	// hash memoizes the ID when it was computed by a sweep partitioner or
 	// verified during decode. It is only ever set through
-	// SetPrecomputedHash, on images whose contents will not change.
+	// SetPrecomputedHash and Seal, on images whose contents will not
+	// change.
 	hash    [32]byte
 	hashSet bool
 }
@@ -34,32 +43,83 @@ const imageMagic = "PMFZIMG1"
 // ErrBadImage reports a malformed or corrupted serialized image.
 var ErrBadImage = errors.New("pmem: bad image")
 
-// Hash returns the SHA-256 of the image contents (UUID + layout + data).
-// PMFuzz's image-reduction step (§4.5 step ④) deduplicates on this value.
+// Hash returns the image ID: the page-digest root over UUID, layout and
+// data (see digest.go). PMFuzz's image-reduction step (§4.5 step ④)
+// deduplicates on this value. An image with a derived leaf vector costs
+// its changed pages plus the root pass; one without pays a cold pass.
 func (img *Image) Hash() [32]byte {
-	if img.hashSet {
+	switch {
+	case img.hashSet:
 		return img.hash
+	case img.hasLeaves():
+		return rootOf(img.UUID, img.Layout, img.Data, img.leaves, img.stale)
+	default:
+		return ContentHash(img.UUID, img.Layout, img.Data)
 	}
-	h := sha256.New()
-	h.Write(img.UUID[:])
-	h.Write([]byte(img.Layout))
-	h.Write(img.Data)
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
 }
 
-// SetPrecomputedHash memoizes the image's content hash. The caller owns
-// the invariant that h equals Hash() of the current contents and that the
-// image is no longer mutated; the sweep's incremental hasher and the
-// store's verified decode path use it to skip redundant full SHA passes.
+// hasLeaves reports whether the attached leaf vector fits Data.
+func (img *Image) hasLeaves() bool {
+	return img.leaves != nil && len(img.leaves) == pageCount(len(img.Data))*leafSize
+}
+
+// exactLeaves returns the leaf vector of Data without changing the
+// image: the attached vector when nothing is stale, a patched copy when
+// some pages are, and a cold pass when the image has none.
+func (img *Image) exactLeaves() []byte {
+	switch {
+	case !img.hasLeaves():
+		return coldLeaves(img.Data)
+	case len(img.stale) == 0:
+		return img.leaves
+	default:
+		leaves := append([]byte(nil), img.leaves...)
+		rehashPages(leaves, img.Data, img.stale)
+		return leaves
+	}
+}
+
+// SetPrecomputedHash memoizes the image's ID. The caller owns the
+// invariant that h equals Hash() of the current contents and that the
+// image is no longer mutated; the sweep partitioner's consumers use it
+// to skip a redundant root pass.
 func (img *Image) SetPrecomputedHash(h [32]byte) {
 	img.hash = h
 	img.hashSet = true
 }
 
-// Clone returns a deep copy of the image. The hash memo is deliberately
-// dropped: clones exist to be mutated.
+// Seal attaches the image's full leaf vector and memoizes its ID, which
+// it returns, so later derivations from this image start from its
+// leaves. Call it only on images whose Data will not change.
+func (img *Image) Seal() [32]byte {
+	img.leaves, img.stale = img.exactLeaves(), nil
+	img.SetPrecomputedHash(rootOf(img.UUID, img.Layout, img.Data, img.leaves, nil))
+	return img.hash
+}
+
+// DeriveFrom attaches a leaf vector derived from base's: img.Data must
+// equal base.Data outside the changed ranges, and the pages those ranges
+// overlap are rehashed when the ID is needed. Images of different sizes
+// derive nothing (Hash stays a cold pass).
+func (img *Image) DeriveFrom(base *Image, changed []Range) {
+	if len(base.Data) != len(img.Data) {
+		return
+	}
+	var stale []int32
+	for _, r := range changed {
+		if r.Len <= 0 {
+			continue
+		}
+		for p := max(r.Off, 0) / PageSize; p <= (r.End()-1)/PageSize && p < pageCount(len(img.Data)); p++ {
+			stale = append(stale, int32(p))
+		}
+	}
+	img.leaves, img.stale = base.exactLeaves(), uniquePages(stale)
+	img.hashSet = false
+}
+
+// Clone returns a deep copy of the image. The leaf vector and hash memo
+// are deliberately dropped: clones exist to be mutated.
 func (img *Image) Clone() *Image {
 	data := make([]byte, len(img.Data))
 	copy(data, img.Data)
@@ -117,7 +177,7 @@ func UnmarshalImage(b []byte) (*Image, error) {
 	}
 	ll := int(binary.LittleEndian.Uint64(body[p : p+8]))
 	p += 8
-	if ll < 0 || p+ll > len(body) {
+	if ll < 0 || ll > len(body)-p {
 		return nil, fmt.Errorf("%w: bad layout length %d", ErrBadImage, ll)
 	}
 	img.Layout = string(body[p : p+ll])
@@ -127,7 +187,7 @@ func UnmarshalImage(b []byte) (*Image, error) {
 	}
 	dl := int(binary.LittleEndian.Uint64(body[p : p+8]))
 	p += 8
-	if dl < 0 || p+dl != len(body) {
+	if dl != len(body)-p {
 		return nil, fmt.Errorf("%w: bad data length %d", ErrBadImage, dl)
 	}
 	img.Data = make([]byte, dl)

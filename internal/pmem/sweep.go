@@ -76,6 +76,7 @@ type Checkpoint struct {
 type Sweep struct {
 	size       int
 	base       []byte
+	leaves     []byte // base's leaf vector; never written
 	cps        []Checkpoint
 	commitVars []Range // raw registration order, for prefix slicing
 }
@@ -105,8 +106,9 @@ func (s *Sweep) CommitVarsAt(n int) []Range {
 // what the program reads or what a failure would persist.
 func (d *Device) BeginSweep() {
 	d.sweep = &Sweep{
-		size: len(d.persisted),
-		base: append([]byte(nil), d.persisted...),
+		size:   len(d.persisted),
+		base:   append([]byte(nil), d.persisted...),
+		leaves: d.persistedLeaves(),
 	}
 }
 
@@ -218,11 +220,14 @@ func (d *Device) captureCheckpoint() *Checkpoint {
 
 // SweepCursor materializes crash images from a Sweep by applying deltas
 // to a working copy of the base image. Sequential ascending access is
-// O(delta) per step; seeking backwards rebuilds from the base.
+// O(delta) per step; seeking backwards rebuilds from the base. The
+// working copy's leaf vector is tracked alongside it, so each image's ID
+// costs only the pages changed since the previous image.
 type SweepCursor struct {
-	s   *Sweep
-	pos int // barriers applied to cur
-	cur []byte
+	s      *Sweep
+	pos    int // barriers applied to cur
+	cur    []byte
+	leaves leafTracker
 	// appliedLines counts delta lines applied since creation (monotonic,
 	// including rebuilds) — the unit the simulated clock charges for
 	// materialization.
@@ -232,17 +237,18 @@ type SweepCursor struct {
 // Cursor returns a new materialization cursor positioned at the base
 // image (barrier 0).
 func (s *Sweep) Cursor() *SweepCursor {
-	return &SweepCursor{s: s, cur: append([]byte(nil), s.base...)}
+	c := &SweepCursor{s: s, cur: append([]byte(nil), s.base...)}
+	c.leaves.reset(s.leaves)
+	return c
 }
 
 // AppliedLines returns the cumulative count of delta lines applied.
 func (c *SweepCursor) AppliedLines() int { return c.appliedLines }
 
 func (c *SweepCursor) apply(ds []LineDelta) {
-	for _, ld := range ds {
-		copy(c.cur[ld.Line*LineSize:], ld.Data)
-		c.appliedLines++
-	}
+	applyDeltaTo(c.cur, ds)
+	c.leaves.markLines(ds)
+	c.appliedLines += len(ds)
 }
 
 func applyDeltaTo(dst []byte, ds []LineDelta) {
@@ -251,35 +257,59 @@ func applyDeltaTo(dst []byte, ds []LineDelta) {
 	}
 }
 
+// deltaPages returns the pages a line-ordered delta writes, ascending.
+func deltaPages(ds []LineDelta) []int32 {
+	var pages []int32
+	for _, ld := range ds {
+		if p := pageOfLine(ld.Line); len(pages) == 0 || pages[len(pages)-1] != p {
+			pages = append(pages, p)
+		}
+	}
+	return pages
+}
+
 // seek advances (or rebuilds and advances) the working copy to the state
-// after barrier b.
+// after barrier b, and brings its leaf vector up to date.
 func (c *SweepCursor) seek(b int) {
 	if b < c.pos {
 		copy(c.cur, c.s.base)
+		c.leaves.reset(c.s.leaves)
 		c.pos = 0
 	}
 	for c.pos < b {
 		c.apply(c.s.cps[c.pos].Delta)
 		c.pos++
 	}
+	c.leaves.sync(c.cur)
 }
 
-// ImageData returns a copy of the persisted state after barrier b — the
-// crash image a barrier-targeted failure at b leaves behind.
-func (c *SweepCursor) ImageData(b int) []byte {
+// Image returns the persisted state after barrier b — the crash image a
+// barrier-targeted failure at b leaves behind — as an image of the given
+// layout carrying its leaf vector.
+func (c *SweepCursor) Image(b int, layout string) *Image {
 	c.seek(b)
-	return append([]byte(nil), c.cur...)
+	return &Image{
+		Layout: layout,
+		Data:   append([]byte(nil), c.cur...),
+		leaves: append([]byte(nil), c.leaves.leaves...),
+	}
 }
 
-// PreFenceData returns a copy of the persisted state for a crash at
-// barrier b's PreOp: the state after barrier b-1 with the deterministic
-// eviction subset of the write-pending queue applied. Calling it before
-// ImageData(b) keeps the cursor moving strictly forward.
-func (c *SweepCursor) PreFenceData(b int) []byte {
+// PreFenceImage returns the persisted state for a crash at barrier b's
+// PreOp: the state after barrier b-1 with the deterministic eviction
+// subset of the write-pending queue applied. Its leaf vector is barrier
+// b-1's with the evicted pages marked stale. Calling it before Image(b)
+// keeps the cursor moving strictly forward.
+func (c *SweepCursor) PreFenceImage(b int, layout string) *Image {
 	c.seek(b - 1)
 	out := append([]byte(nil), c.cur...)
 	pre := c.s.cps[b-1].PreDelta
 	applyDeltaTo(out, pre)
 	c.appliedLines += len(pre)
-	return out
+	return &Image{
+		Layout: layout,
+		Data:   out,
+		leaves: append([]byte(nil), c.leaves.leaves...),
+		stale:  deltaPages(pre),
+	}
 }

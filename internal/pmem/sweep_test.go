@@ -83,7 +83,7 @@ func TestSweepJournalMatchesInjectedCrashes(t *testing.T) {
 		if sw == nil || sw.Barriers() == 0 {
 			t.Fatalf("seed %d: no journal", seed)
 		}
-		_ = d.Close()
+		_ = d.Close([16]byte{}, "")
 
 		// Ground truth: re-run the whole two-segment script with a failure
 		// injected at each barrier the journal recorded. Barrier indices in
@@ -142,7 +142,7 @@ func TestSweepJournalMatchesInjectedCrashes(t *testing.T) {
 			// Pre-fence crash first (keeps the cursor strictly forward).
 			if cp.PreOp >= 1 {
 				rd := replay(OpFailure{N: cp.PreOp})
-				if got, want := cur.PreFenceData(b), rd.PersistedSnapshot(); !bytes.Equal(got, want) {
+				if got, want := cur.PreFenceImage(b, "").Data, rd.PersistedSnapshot(); !bytes.Equal(got, want) {
 					t.Fatalf("seed %d barrier %d: pre-fence image differs", seed, cp.Barrier)
 				}
 				wantLost := rd.UnpersistedRanges()
@@ -154,7 +154,7 @@ func TestSweepJournalMatchesInjectedCrashes(t *testing.T) {
 				}
 			}
 			rd := replay(BarrierFailure{N: cp.Barrier})
-			if got, want := cur.ImageData(b), rd.PersistedSnapshot(); !bytes.Equal(got, want) {
+			if got, want := cur.Image(b, "").Data, rd.PersistedSnapshot(); !bytes.Equal(got, want) {
 				t.Fatalf("seed %d barrier %d: barrier image differs", seed, cp.Barrier)
 			}
 			if !rangesEq(cp.Lost, rd.UnpersistedRanges()) {
@@ -166,8 +166,8 @@ func TestSweepJournalMatchesInjectedCrashes(t *testing.T) {
 		}
 		// Backward seek must rebuild correctly from the base.
 		mid := (1 + sw.Barriers()) / 2
-		fwd := sw.Cursor().ImageData(mid)
-		if !bytes.Equal(cur.ImageData(mid), fwd) {
+		fwd := sw.Cursor().Image(mid, "").Data
+		if !bytes.Equal(cur.Image(mid, "").Data, fwd) {
 			t.Fatalf("seed %d: backward seek to %d diverges", seed, mid)
 		}
 	}
@@ -183,40 +183,6 @@ func rangesEq(a, b []Range) bool {
 		}
 	}
 	return true
-}
-
-// TestImageHasherMatchesFullHash drives the midstate-resume hasher over
-// data mutated at assorted offsets (including stride boundaries, offset
-// zero, end-of-data "nothing changed", and lying-larger firstChanged
-// clamping) and checks every digest against Image.Hash.
-func TestImageHasherMatchesFullHash(t *testing.T) {
-	const size = 3*hashStateStride + 123
-	uuid := [16]byte{1, 2, 3}
-	data := make([]byte, size)
-	rand.New(rand.NewSource(42)).Read(data)
-
-	h := NewImageHasher(uuid, "layout")
-	check := func(firstChanged int) {
-		t.Helper()
-		got := h.Sum(data, firstChanged)
-		want := (&Image{UUID: uuid, Layout: "layout", Data: data}).Hash()
-		if got != want {
-			t.Fatalf("firstChanged=%d: digest mismatch", firstChanged)
-		}
-	}
-	check(0)
-	for _, off := range []int{0, 1, hashStateStride - 1, hashStateStride,
-		hashStateStride + 1, 2 * hashStateStride, size - 1} {
-		data[off] ^= 0xA5
-		check(off)
-	}
-	// Nothing changed: resume from the end.
-	check(size)
-	// Clamped past the end.
-	check(size + 999)
-	// Full restart after arbitrary interleaving.
-	data[7] ^= 1
-	check(0)
 }
 
 // TestEvictionSharedPredicate pins that the sweep's eviction decision and

@@ -228,8 +228,7 @@ func Open(dev *pmem.Device, layout string) (*Pool, error) {
 func (p *Pool) Close() *pmem.Image {
 	site := instr.CallerSite(1)
 	p.dev.LibOp(trace.PoolClose, 0, 0, site)
-	data := p.dev.Close()
-	return &pmem.Image{UUID: p.uuid, Layout: p.layout, Data: data}
+	return p.dev.Close(p.uuid, p.layout)
 }
 
 // Device exposes the underlying simulated device.

@@ -304,8 +304,7 @@ func (m *Memcached) Exec(env *Env, line []byte) error {
 
 // Close implements Program.
 func (m *Memcached) Close(env *Env) *pmem.Image {
-	data := m.dev.Close()
-	return &pmem.Image{Layout: "memcached", Data: data}
+	return m.dev.Close([16]byte{}, "memcached")
 }
 
 func (m *Memcached) slotOff(s int) int { return mcHeader + s*mcSlotLen }
