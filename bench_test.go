@@ -427,11 +427,10 @@ func BenchmarkFuzzerThroughput(b *testing.B) {
 
 // BenchmarkExecHotLoop measures the steady-state cost of one fuzzing
 // execution — the hot path everything else multiplies. "fresh" allocates
-// a new device (~2×poolsize), tracer (2×64 KiB), and output snapshot per
-// run, the pre-arena behavior; "arena" reuses one executor.Arena exactly
-// the way each fuzzing worker does (device reset in place, pooled
-// tracer, recycled snapshot buffer) — the persistent-mode/forkserver
-// analog. The acceptance bar for this PR: the arena leg sustains ≥1.5×
+// a new device (~2×poolsize) and tracer (2×64 KiB) per run, the
+// pre-arena behavior; "arena" reuses one executor.Arena exactly the way
+// each fuzzing worker does (device reset in place, pooled tracer) — the
+// persistent-mode/forkserver analog. The acceptance bar for this PR: the arena leg sustains ≥1.5×
 // the fresh leg's execs/sec with ≥80% fewer allocs/op.
 func BenchmarkExecHotLoop(b *testing.B) {
 	tc := executor.TestCase{Workload: "btree", Input: benchSweepInput(), Seed: 1}
@@ -455,7 +454,6 @@ func BenchmarkExecHotLoop(b *testing.B) {
 				b.Fatalf("execution faulted: err=%v panic=%v", res.Err, res.PanicVal)
 			}
 			arena.Recycle(res)
-			arena.RecycleImage(res.Image)
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "execs/sec")
 	})
@@ -482,7 +480,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				b.Fatalf("execution faulted: err=%v panic=%v", res.Err, res.PanicVal)
 			}
 			arena.Recycle(res)
-			arena.RecycleImage(res.Image)
 			if m != nil && i%20 == 19 { // the engine's SampleEveryExecs cadence
 				m.MergeShard(shard)
 			}

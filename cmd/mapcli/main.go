@@ -128,6 +128,6 @@ func main() {
 		if crashed {
 			kind = "crash"
 		}
-		fmt.Printf("saved %s image (%d bytes) to %s\n", kind, len(img.Data), *savePath)
+		fmt.Printf("saved %s image (%d bytes) to %s\n", kind, img.Size(), *savePath)
 	}
 }

@@ -26,8 +26,10 @@ import (
 
 // checkpointVersion guards the state format. Version 2 keys stored
 // images by the page-digest ID; a version 1 checkpoint's keys are
-// whole-pool SHA-256 sums that no longer verify.
-const checkpointVersion = 2
+// whole-pool SHA-256 sums that no longer verify. Version 3 full blobs
+// carry no trailing checksum (they are verified by their ID), so a
+// version 2 checkpoint's full blobs no longer parse.
+const checkpointVersion = 3
 
 type ckptBlob struct {
 	ID   string `json:"id"`

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -249,7 +250,7 @@ func TestCheckpointRejectsV1(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const want = "checkpoint version 1 (want 2)"
+	want := fmt.Sprintf("checkpoint version 1 (want %d)", checkpointVersion)
 	if _, err := PeekCheckpointConfig(v1); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("peek of a v1 checkpoint: got %v, want the version error", err)
 	}

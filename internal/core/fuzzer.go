@@ -724,16 +724,13 @@ func (f *Fuzzer) deriveChild(e *fuzz.Entry) ([]byte, *imageRef) {
 			}
 			base = &imageRef{img: res.Image}
 			t0 := f.shard.Begin()
-			mutated := base.img.Clone()
-			mutated.Data = f.mut.MutateImage(mutated.Data)
+			mutated := mutateImage(f.mut, base.img)
 			f.shard.End(obs.StageMutate, t0)
 			f.arena.Recycle(res)
-			f.arena.RecycleImage(res.Image)
 			return input, &imageRef{img: mutated}
 		}
 		t0 := f.shard.Begin()
-		mutated := base.img.Clone()
-		mutated.Data = f.mut.MutateImage(mutated.Data)
+		mutated := mutateImage(f.mut, base.img)
 		f.shard.End(obs.StageMutate, t0)
 		return input, &imageRef{img: mutated}
 	}
@@ -746,6 +743,12 @@ func (f *Fuzzer) mutCoin() bool { return f.execs%4 == 3 }
 type imageRef struct {
 	img    *pmem.Image
 	cached bool
+}
+
+// mutateImage is direct image mutation: a fresh image built from img's
+// bytes with a few of them randomized.
+func mutateImage(m *fuzz.Mutator, img *pmem.Image) *pmem.Image {
+	return pmem.NewImage(img.UUID, img.Layout, m.MutateImage(img.Bytes()))
 }
 
 func (f *Fuzzer) resolveImage(e *fuzz.Entry) *imageRef {
@@ -793,10 +796,9 @@ func (f *Fuzzer) runMutated(parent *fuzz.Entry, input []byte, img *imageRef) {
 	f.execs++
 	f.observe(parent, tc, res)
 	// The serial loop fully consumes a result inside observe (maps merged,
-	// images serialized into the store), so its tracer and output-image
-	// buffer can be recycled for the next execution.
+	// images serialized into the store), so its tracer can be recycled
+	// for the next execution.
 	f.arena.Recycle(res)
-	f.arena.RecycleImage(res.Image)
 	if f.execs%max(1, f.cfg.SampleEveryExecs) == 0 {
 		f.sample(false)
 	}
@@ -1100,15 +1102,12 @@ func (f *Fuzzer) harvestImages(parent *fuzz.Entry, tc executor.TestCase, res *ex
 				b = 1
 			}
 			if crash := sw.Crash(b); crash != nil && crash.Image != nil {
+				// The shared empty tracer of a materialized result is
+				// deliberately NOT recycled.
 				f.addImageEntryDelta(parent, tc.Input, crash.Image, true, executor.CrashClassKey(crash), f.clock.Now(), outID, res.Image)
-				// Materialized images are serialized immediately; their
-				// buffers feed the next snapshots. (Their shared empty
-				// tracer is deliberately NOT recycled.)
-				f.arena.RecycleImage(crash.Image)
 			}
 		}
 		f.arena.Recycle(sw.Clean)
-		f.arena.RecycleImage(sw.Clean.Image)
 	}
 	for s := 0; s < f.cfg.ProbFailSeeds && f.cfg.ProbFailRate > 0 && f.clock.Now() < f.cfg.BudgetNS; s++ {
 		tcp := tc
@@ -1119,7 +1118,6 @@ func (f *Fuzzer) harvestImages(parent *fuzz.Entry, tc executor.TestCase, res *ex
 			f.addImageEntryDelta(parent, tc.Input, crash.Image, true, executor.CrashClassKey(crash), f.clock.Now(), outID, res.Image)
 		}
 		f.arena.Recycle(crash)
-		f.arena.RecycleImage(crash.Image)
 	}
 }
 

@@ -125,13 +125,11 @@ func (f *Fuzzer) runCampaign(root *fuzz.Entry, iter, campaign int, axis *int64, 
 		f.addFault(root, root.Input, msg, clock.Now())
 		*axis = clock.Now()
 		f.arena.Recycle(rec)
-		f.arena.RecycleImage(rec.Image)
 		exit()
 		return
 	}
 	recID, _, err := f.store.PutDelta(rec.Image, root.ImageID, img)
 	f.arena.Recycle(rec)
-	f.arena.RecycleImage(rec.Image)
 	if err != nil {
 		*axis = clock.Now()
 		exit()

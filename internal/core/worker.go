@@ -110,10 +110,9 @@ type worker struct {
 	seedInput []byte
 
 	// arena is this worker's private execution reuse handle (the
-	// persistent-mode analog): one resident device, pooled tracers and
-	// snapshot buffers. Outcomes shipped to the coordinator (coverage
-	// maps, output and crash images) are never recycled — the arena only
-	// reclaims state that dies inside the worker.
+	// persistent-mode analog): one resident device and pooled tracers.
+	// Coverage maps shipped to the coordinator are never recycled — the
+	// arena only reclaims state that dies inside the worker.
 	arena *executor.Arena
 
 	// shard is this worker's private telemetry shard (nil when telemetry
@@ -220,8 +219,7 @@ func (w *worker) deriveChild(l *fuzz.Lease, i int) ([]byte, *imageRef) {
 			base = &imageRef{img: res.Image}
 		}
 		t0 := w.shard.Begin()
-		mutated := base.img.Clone()
-		mutated.Data = w.mut.MutateImage(mutated.Data)
+		mutated := mutateImage(w.mut, base.img)
 		w.shard.End(obs.StageMutate, t0)
 		return input, &imageRef{img: mutated}
 	}
@@ -290,15 +288,11 @@ func (w *worker) execCase(parent *fuzz.Entry, input []byte, img *imageRef) *exec
 			o.faultMsg = res.Err.Error()
 		}
 		o.simNS = w.clock.Now()
-		w.arena.RecycleImage(res.Image)
 		return o
 	}
 	if w.cfg.Features.ImgFuzzIndirect && res.Image != nil && (newPSlot || newPBucket) {
 		o.outImage = res.Image
 		w.harvestCrashImages(tc, res, o)
-	} else {
-		// The output image is not shipped; reclaim its buffer.
-		w.arena.RecycleImage(res.Image)
 	}
 	o.simNS = w.clock.Now()
 	return o
@@ -339,7 +333,6 @@ func (w *worker) harvestCrashImages(tc executor.TestCase, res *executor.Result, 
 		// The journaled run's own result stays worker-local (the sweep
 		// ships only materialized crash images), so it can be reclaimed.
 		w.arena.Recycle(sw.Clean)
-		w.arena.RecycleImage(sw.Clean.Image)
 	}
 	for s := 0; s < w.cfg.ProbFailSeeds && w.cfg.ProbFailRate > 0 && w.clock.Now() < w.cfg.BudgetNS; s++ {
 		tcp := tc
@@ -349,8 +342,6 @@ func (w *worker) harvestCrashImages(tc executor.TestCase, res *executor.Result, 
 		if crash.Crashed && crash.Image != nil {
 			o.crashImages = append(o.crashImages, crash.Image)
 			o.crashClassKeys = append(o.crashClassKeys, executor.CrashClassKey(crash))
-		} else {
-			w.arena.RecycleImage(crash.Image)
 		}
 		w.arena.Recycle(crash)
 	}

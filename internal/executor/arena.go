@@ -10,9 +10,10 @@ import (
 // forkserver analog. A fuzzing worker that owns an Arena and passes it in
 // Options runs every execution on ONE resident device (persisted and
 // volatile buffers, line-state arrays, barrier-op slice) reset in place
-// per run, draws coverage tracers and trace recorders from free lists,
-// and can return snapshot buffers so even output images stop allocating
-// in steady state.
+// per run, and draws coverage tracers and trace recorders from free
+// lists. Output and crash images need no pool: they share every page the
+// run did not change with its start image, so producing one allocates
+// only the changed pages.
 //
 // An Arena is not safe for concurrent use: it belongs to exactly one
 // worker goroutine, like an AFL++ instance owns its target process.
@@ -22,21 +23,19 @@ import (
 // are valid only until the next run on the same Arena. Callers that
 // retain them across runs must copy (or simply not call Recycle and let
 // the tracer go to the garbage collector, as the parallel workers do for
-// shipped coverage maps).
+// shipped coverage maps). Result.Image is exempt: images are immutable,
+// so an output or crash image stays valid for as long as it is held.
 type Arena struct {
 	dev     *pmem.Device
 	tracers []*instr.Tracer
 	recs    []*trace.Recorder
-	bufs    [][]byte
 }
 
 // Pool caps keep a pathological caller from growing an arena without
-// bound; steady-state fuzzing needs one tracer and a couple of image
-// buffers in flight.
+// bound; steady-state fuzzing needs one tracer in flight.
 const (
 	arenaMaxTracers = 4
 	arenaMaxRecs    = 4
-	arenaMaxBufs    = 8
 )
 
 // NewArena returns an empty arena; the device and pools are populated
@@ -59,7 +58,6 @@ func (a *Arena) device(img *pmem.Image, size int) *pmem.Device {
 	default:
 		a.dev.ResetEmpty(size)
 	}
-	a.dev.SetSnapshotAlloc(a.snapshotBuf)
 	return a.dev
 }
 
@@ -86,21 +84,6 @@ func (a *Arena) recorder() *trace.Recorder {
 	return trace.NewRecorder()
 }
 
-// snapshotBuf serves pmem.Device snapshot requests from the buffer pool.
-// Buffers are size-matched exactly; a miss falls through to the device's
-// own make.
-func (a *Arena) snapshotBuf(n int) []byte {
-	for i := len(a.bufs) - 1; i >= 0; i-- {
-		if len(a.bufs[i]) == n {
-			b := a.bufs[i]
-			a.bufs[i] = a.bufs[len(a.bufs)-1]
-			a.bufs = a.bufs[:len(a.bufs)-1]
-			return b
-		}
-	}
-	return nil
-}
-
 // Recycle returns a finished Result's pooled observation state (coverage
 // tracer, trace recorder) to the arena. Call it only when the tracer's
 // maps are no longer referenced — a worker that shipped the maps to the
@@ -120,15 +103,7 @@ func (a *Arena) Recycle(res *Result) {
 	}
 }
 
-// RecycleImage donates an image's data buffer to the snapshot pool. Call
-// it only for images that are fully consumed (serialized into the store,
-// diffed, or discarded) and not retained anywhere: the next execution on
-// this arena will overwrite the buffer. The image is emptied, its leaf
-// vector and ID memo dropped with the data, so a stale use fails loudly.
-func (a *Arena) RecycleImage(img *pmem.Image) {
-	if img == nil || img.Data == nil || len(a.bufs) >= arenaMaxBufs {
-		return
-	}
-	a.bufs = append(a.bufs, img.Data)
-	*img = pmem.Image{UUID: img.UUID, Layout: img.Layout}
-}
+// RecycleImage does nothing. Images are immutable page vectors shared
+// copy-on-write, so there is no buffer to hand back; the method stays
+// for callers written against the earlier snapshot-buffer pool.
+func (a *Arena) RecycleImage(*pmem.Image) {}

@@ -42,7 +42,7 @@ func compareResults(t *testing.T, tag string, a, b *Result) {
 	if aImg != bImg {
 		t.Fatalf("%s: image presence diverged", tag)
 	}
-	if aImg && !bytes.Equal(a.Image.Data, b.Image.Data) {
+	if aImg && !bytes.Equal(a.Image.Bytes(), b.Image.Bytes()) {
 		t.Fatalf("%s: image bytes diverged", tag)
 	}
 }
@@ -61,7 +61,6 @@ func TestArenaRunsMatchFreshRuns(t *testing.T) {
 		reused := Run(TestCase{Workload: "btree", Input: arenaInput, Seed: 1}, Options{Arena: arena})
 		compareResults(t, fmt.Sprintf("clean round %d", round), fresh, reused)
 		arena.Recycle(reused)
-		arena.RecycleImage(reused.Image)
 	}
 
 	// Image-chained run: the first run's output image feeds the second.
@@ -70,7 +69,6 @@ func TestArenaRunsMatchFreshRuns(t *testing.T) {
 	reused := Run(TestCase{Workload: "btree", Input: []byte("g 9\nc\n"), Image: base.Image, Seed: 1}, Options{Arena: arena})
 	compareResults(t, "chained", fresh, reused)
 	arena.Recycle(reused)
-	arena.RecycleImage(reused.Image)
 
 	// Crashing run: injected failure mid-transaction.
 	tc := TestCase{Workload: "btree", Input: arenaInput, Injector: pmem.BarrierFailure{N: 7}, Seed: 1}
@@ -81,7 +79,6 @@ func TestArenaRunsMatchFreshRuns(t *testing.T) {
 		t.Fatal("crash leg did not crash")
 	}
 	arena.Recycle(reusedCrash)
-	arena.RecycleImage(reusedCrash.Image)
 
 	// And a clean run AFTER the crash on the same arena.
 	fresh = Run(TestCase{Workload: "btree", Input: arenaInput, Seed: 1}, Options{})
@@ -110,12 +107,10 @@ func TestArenaSteadyStateAllocBudget(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		res := Run(tc, Options{Arena: arena})
 		arena.Recycle(res)
-		arena.RecycleImage(res.Image)
 	}
 	avg := testing.AllocsPerRun(20, func() {
 		res := Run(tc, Options{Arena: arena})
 		arena.Recycle(res)
-		arena.RecycleImage(res.Image)
 	})
 	if avg > arenaAllocBudget {
 		t.Fatalf("steady-state arena execution allocates %.0f/op, budget %d", avg, arenaAllocBudget)

@@ -25,7 +25,7 @@ func TestDeviceOutputRootMatchesCold(t *testing.T) {
 					t.Fatalf("%s: run faulted or produced no image", what)
 				}
 				img := res.Image
-				if img.Hash() != pmem.ContentHash(img.UUID, img.Layout, img.Data) {
+				if img.Hash() != pmem.ContentHash(img.UUID, img.Layout, img.Bytes()) {
 					t.Fatalf("%s: derived root differs from the cold root", what)
 				}
 			}
@@ -47,7 +47,7 @@ func TestDeviceOutputRootMatchesCold(t *testing.T) {
 					cp.Injector = pmem.NewProbabilisticFailure(s+int64(i)*31, 0.02)
 					if res := Run(cp, Options{Arena: arena}); res.Crashed {
 						crashed++
-						if res.Image.Hash() != pmem.ContentHash(res.Image.UUID, res.Image.Layout, res.Image.Data) {
+						if res.Image.Hash() != pmem.ContentHash(res.Image.UUID, res.Image.Layout, res.Image.Bytes()) {
 							t.Fatalf("run %d seed %d: crash image root differs from the cold root", i, s)
 						}
 					}

@@ -14,7 +14,7 @@ func TestRunCleanProducesImage(t *testing.T) {
 	if res.Err != nil || res.Panicked || res.Crashed {
 		t.Fatalf("clean run: err=%v panicked=%v crashed=%v", res.Err, res.Panicked, res.Crashed)
 	}
-	if res.Image == nil || len(res.Image.Data) == 0 {
+	if res.Image == nil || res.Image.Size() == 0 {
 		t.Fatalf("no output image")
 	}
 	if res.Commands != 4 {

@@ -56,7 +56,7 @@ func TestFingerprintsMatchMaterialized(t *testing.T) {
 				if len(crash.CommitVars) != fp.FP.CVCount {
 					t.Fatalf("%s b=%d pre=%t: commit vars %d != %d", c.workload, fp.Barrier, fp.PreFence, len(crash.CommitVars), fp.FP.CVCount)
 				}
-				if got := pmem.CommitVarSignature(crash.CommitVars, crash.Image.Data); got != fp.FP.CVHash {
+				if got := pmem.CommitVarSignature(crash.CommitVars, crash.Image); got != fp.FP.CVHash {
 					t.Fatalf("%s b=%d pre=%t: commit-var signature mismatch", c.workload, fp.Barrier, fp.PreFence)
 				}
 				if got := pmem.TaintSignature(crash.LostAtCrash); got != fp.FP.TaintSig {

@@ -63,12 +63,12 @@ func TestRecoveryIdempotence(t *testing.T) {
 					// recount); the second and third must agree exactly.
 					img1, _ := recover1(t, workload, crash.Image, tc.Seed)
 					img2, trace2 := recover1(t, workload, img1, tc.Seed)
-					if !bytes.Equal(img2.Data, img1.Data) {
+					if !bytes.Equal(img2.Bytes(), img1.Bytes()) {
 						t.Fatalf("second recovery changed the image (%d vs %d bytes)",
-							len(img2.Data), len(img1.Data))
+							len(img2.Bytes()), len(img1.Bytes()))
 					}
 					img3, trace3 := recover1(t, workload, img2, tc.Seed)
-					if !bytes.Equal(img3.Data, img2.Data) {
+					if !bytes.Equal(img3.Bytes(), img2.Bytes()) {
 						t.Fatalf("third recovery changed the image")
 					}
 					if len(trace2) != len(trace3) {

@@ -248,7 +248,7 @@ func CrashClassKey(res *Result) uint64 {
 	if res == nil || !res.Crashed || res.Image == nil {
 		return 0
 	}
-	sig := pmem.CommitVarSignature(res.CommitVars, res.Image.Data)
+	sig := pmem.CommitVarSignature(res.CommitVars, res.Image)
 	k := pmem.SemanticClassKey(res.Commands, len(res.CommitVars), sig)
 	if k == 0 {
 		k = 1 // keep 0 reserved for "unclassified"

@@ -59,7 +59,7 @@ func requireResultsEqual(t *testing.T, label string, old, nw *Result) {
 		if old.Image.UUID != nw.Image.UUID || old.Image.Layout != nw.Image.Layout {
 			t.Fatalf("%s: image identity differs", label)
 		}
-		if !bytes.Equal(old.Image.Data, nw.Image.Data) {
+		if !bytes.Equal(old.Image.Bytes(), nw.Image.Bytes()) {
 			t.Fatalf("%s: image bytes differ", label)
 		}
 		if old.Image.Hash() != nw.Image.Hash() {
@@ -189,7 +189,7 @@ func TestSweepIncrementalHashMatches(t *testing.T) {
 		if res == nil {
 			t.Fatalf("barrier %d out of range", b)
 		}
-		fresh := &pmem.Image{UUID: res.Image.UUID, Layout: res.Image.Layout, Data: res.Image.Data}
+		fresh := res.Image.Clone()
 		if res.Image.Hash() != fresh.Hash() {
 			t.Fatalf("barrier %d: incremental hash diverges from full hash", b)
 		}

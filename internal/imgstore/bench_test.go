@@ -16,7 +16,7 @@ func benchImage(seed int64) *pmem.Image {
 		off := rng.Intn(len(data) - 64)
 		rng.Read(data[off : off+64])
 	}
-	return &pmem.Image{Layout: "bench", Data: data}
+	return pmem.NewImage([16]byte{}, "bench", data)
 }
 
 func BenchmarkPutCompress(b *testing.B) {

@@ -1,7 +1,6 @@
 package imgstore
 
 import (
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -15,9 +14,8 @@ import (
 // blob ships as flate-compressed serialized image bytes, a delta blob as
 // its base ID plus compressed runs — so a sync never re-compresses and a
 // crash image costs O(changed lines) on the wire. Import verifies every
-// blob against its content-addressed ID before admitting it, without
-// constructing a pmem.Image for full blobs: the content hash is computed
-// directly over the inflated serialization.
+// blob against its content-addressed ID before admitting it, decoding it
+// exactly as Get would.
 
 // ErrMissingDeltaBase reports a delta blob whose base image is not in
 // the store yet. The importer retries it after the base arrives.
@@ -82,7 +80,7 @@ func (s *Store) ExportBlobFull(id ID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	compressed, err := s.deflate(img.Marshal())
+	compressed, err := s.deflate(img)
 	if err != nil {
 		return nil, err
 	}
@@ -112,9 +110,9 @@ func DeltaBase(blob []byte) (baseID ID, hasBase bool, err error) {
 }
 
 // ImportBlob admits a peer's blob under the given content hash. The blob
-// is verified before insertion: a full blob's inflated serialization
-// must hash to id (checked without building a pmem.Image), and a delta
-// blob must reconstruct to an image hashing to id. A duplicate counts as
+// is verified before insertion by the decoder Get uses: a full blob must
+// parse exactly and hash to id, and a delta blob must reconstruct to an
+// image hashing to id. A duplicate counts as
 // a dedup hit and costs no decompression. Returns whether the image was
 // new. A delta blob whose base is absent fails with ErrMissingDeltaBase
 // and leaves the store unchanged.
@@ -131,15 +129,12 @@ func (s *Store) ImportBlob(id ID, blob []byte) (fresh bool, err error) {
 	}
 	s.mu.Unlock()
 
-	var rawSize int64
-	isDelta := false
+	var img *pmem.Image
 	switch blob[0] {
 	case blobFull:
-		n, err := s.verifyFullBlob(id, blob)
-		if err != nil {
+		if img, err = s.decodeFull(id, blob); err != nil {
 			return false, err
 		}
-		rawSize = n
 	case blobDelta:
 		var baseID ID
 		if len(blob) < 1+len(baseID) {
@@ -151,12 +146,9 @@ func (s *Store) ImportBlob(id ID, blob []byte) (fresh bool, err error) {
 		}
 		// decodeDelta reconstructs against the base and rejects the blob
 		// unless the result hashes to id.
-		img, err := s.decodeDelta(id, blob, nil, 0)
-		if err != nil {
+		if img, err = s.decodeDelta(id, blob, nil, 0); err != nil {
 			return false, err
 		}
-		rawSize = int64(serializedSize(img))
-		isDelta = true
 	default:
 		return false, fmt.Errorf("imgstore: unknown blob tag %d for %s", blob[0], id)
 	}
@@ -168,50 +160,12 @@ func (s *Store) ImportBlob(id ID, blob []byte) (fresh bool, err error) {
 		return false, nil
 	}
 	s.blobs[id] = append([]byte(nil), blob...)
-	if isDelta {
+	if blob[0] == blobDelta {
 		s.stats.deltaPuts.Add(1)
 	}
-	s.stats.rawBytes.Add(rawSize)
+	s.stats.rawBytes.Add(int64(serializedSize(img)))
 	s.stats.compressed.Add(int64(len(blob)))
 	return true, nil
-}
-
-// verifyFullBlob inflates a full blob and checks that its serialized
-// image hashes to id, parsing the marshal layout in place — no
-// pmem.Image is constructed. Returns the serialized size.
-func (s *Store) verifyFullBlob(id ID, blob []byte) (int64, error) {
-	raw, err := s.inflate(blob[1:])
-	if err != nil {
-		return 0, err
-	}
-	// Layout: magic(8) | uuid(16) | layoutLen(8 LE) | layout |
-	// dataLen(8 LE) | data | sha256(32). The content hash is the page
-	// digest of uuid, layout and data.
-	const magicLen, uuidLen, lenField, sumLen = 8, 16, 8, 32
-	p := magicLen
-	if len(raw) < p+uuidLen+lenField {
-		return 0, fmt.Errorf("imgstore: corrupt full blob %s: truncated", id)
-	}
-	uuid := raw[p : p+uuidLen]
-	p += uuidLen
-	llen := int(binary.LittleEndian.Uint64(raw[p : p+lenField]))
-	p += lenField
-	if llen < 0 || llen > len(raw)-p-lenField {
-		return 0, fmt.Errorf("imgstore: corrupt full blob %s: layout length", id)
-	}
-	layout := raw[p : p+llen]
-	p += llen
-	dlen := int(binary.LittleEndian.Uint64(raw[p : p+lenField]))
-	p += lenField
-	if dlen < 0 || dlen > len(raw)-p-sumLen {
-		return 0, fmt.Errorf("imgstore: corrupt full blob %s: data length", id)
-	}
-	data := raw[p : p+dlen]
-
-	if got := ID(pmem.ContentHash([16]byte(uuid), string(layout), data)); got != id {
-		return 0, fmt.Errorf("imgstore: import blob content hash mismatch: want %s got %s", id, got)
-	}
-	return int64(len(raw)), nil
 }
 
 // CacheLRU returns the shared decompressed cache's IDs in LRU order

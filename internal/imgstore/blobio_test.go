@@ -29,7 +29,7 @@ func TestDupPutSkipsDeflate(t *testing.T) {
 	}
 
 	baseID, _, _ := s.Put(base)
-	child := &pmem.Image{Layout: "t", Data: append(bytes.Repeat([]byte{1}, 4095), 2)}
+	child := pmem.NewImage([16]byte{}, "t", append(bytes.Repeat([]byte{1}, 4095), 2))
 	if _, _, err := s.PutDelta(child, baseID, base); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestExportImportFullBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Data, img.Data) || got.Layout != img.Layout {
+	if !bytes.Equal(got.Bytes(), img.Bytes()) || got.Layout != img.Layout {
 		t.Fatal("imported image differs from original")
 	}
 
@@ -93,7 +93,7 @@ func TestExportImportDeltaBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	child := &pmem.Image{Layout: "t", Data: append(bytes.Repeat([]byte{3}, 4000), bytes.Repeat([]byte{4}, 96)...)}
+	child := pmem.NewImage([16]byte{}, "t", append(bytes.Repeat([]byte{3}, 4000), bytes.Repeat([]byte{4}, 96)...))
 	childID, _, err := src.PutDelta(child, baseID, base)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestExportImportDeltaBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Data, child.Data) {
+	if !bytes.Equal(got.Bytes(), child.Bytes()) {
 		t.Fatal("delta import reconstructed wrong image")
 	}
 

@@ -1,7 +1,6 @@
 package imgstore
 
 import (
-	"bytes"
 	"testing"
 
 	"pmfuzz/internal/pmem"
@@ -15,14 +14,17 @@ func fuzzBase() *pmem.Image {
 	for i := range data {
 		data[i] = byte(i / pmem.PageSize * 17)
 	}
-	return &pmem.Image{UUID: [16]byte{3}, Layout: "fuzz", Data: data}
+	return pmem.NewImage([16]byte{3}, "fuzz", data)
 }
 
 // FuzzImportBlob feeds (ID, blob) pairs to ImportBlob on a store that
 // holds fuzzBase. Import must never panic, and every blob it accepts
 // must come back from Get as an image whose cold hash is its ID. The
 // checked-in corpus holds a valid full blob, a valid delta blob over
-// the base, a truncated blob, a wrong tag and a flipped payload byte.
+// the base, a truncated blob, a wrong tag, a flipped payload byte, a
+// huge delta layout length, and two full blobs whose data hashes to
+// the ID but whose payload is malformed: a bad magic, and trailing
+// bytes after the data.
 func FuzzImportBlob(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rawID, blob []byte) {
 		var id ID
@@ -38,7 +40,7 @@ func FuzzImportBlob(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted blob %s does not decode: %v", id, err)
 		}
-		if got := pmem.ContentHash(img.UUID, img.Layout, img.Data); ID(got) != id {
+		if got := pmem.ContentHash(img.UUID, img.Layout, img.Bytes()); ID(got) != id {
 			t.Fatalf("accepted blob %s decodes to an image hashing to %s", id, ID(got))
 		}
 	})
@@ -63,8 +65,9 @@ func TestTamperedDeltaRunRejected(t *testing.T) {
 		t.Fatalf("untampered delta: %v", err)
 	}
 
-	tampered := &pmem.Image{UUID: img.UUID, Layout: img.Layout, Data: bytes.Clone(img.Data)}
-	tampered.Data[130*pmem.LineSize+5] ^= 1
+	data := img.Bytes()
+	data[130*pmem.LineSize+5] ^= 1
+	tampered := pmem.NewImage(img.UUID, img.Layout, data)
 	blob, err := s.encodeDeltaBlob(tampered, baseID, base)
 	if err != nil {
 		t.Fatal(err)

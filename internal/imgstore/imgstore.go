@@ -8,8 +8,9 @@
 //
 // Two blob encodings coexist, distinguished by a tag byte:
 //
-//   - full: flate-compressed serialized image — the only format seed and
-//     output images use.
+//   - full: flate-compressed serialized image (pmem.Image.WriteTo: header
+//     and data, no checksum — the blob is verified against its ID) — the
+//     only format seed and output images use.
 //   - delta: base-image ID plus a flate-compressed list of byte runs that
 //     differ from the base. Sibling crash images from one sweep differ
 //     from their parent's output image only in the few lines their
@@ -20,6 +21,7 @@ package imgstore
 import (
 	"bytes"
 	"compress/flate"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -153,13 +155,19 @@ var (
 	}}
 )
 
-// deflate compresses raw with a pooled writer and returns a fresh slice.
-func (s *Store) deflate(raw []byte) ([]byte, error) {
+// maxDeflateRatio bounds how many bytes one compressed byte can inflate
+// to (a 258-byte match in two bits), so a corrupt length field in a full
+// blob is rejected before it is allocated.
+const maxDeflateRatio = 1032
+
+// deflate compresses what src writes with a pooled writer and returns a
+// fresh slice.
+func (s *Store) deflate(src io.WriterTo) ([]byte, error) {
 	buf := scratchPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	w := flateWriterPool.Get().(*flate.Writer)
 	w.Reset(buf)
-	_, werr := w.Write(raw)
+	n, werr := src.WriteTo(w)
 	cerr := w.Close()
 	flateWriterPool.Put(w)
 	out := append([]byte(nil), buf.Bytes()...)
@@ -170,31 +178,62 @@ func (s *Store) deflate(raw []byte) ([]byte, error) {
 	if cerr != nil {
 		return nil, fmt.Errorf("imgstore: %w", cerr)
 	}
-	s.stats.bytesComp.Add(int64(len(raw)))
+	s.stats.bytesComp.Add(n)
 	return out, nil
 }
 
-// inflate decompresses blob with a pooled reader into a fresh slice.
-func (s *Store) inflate(blob []byte) ([]byte, error) {
+// inflate runs read over the decompressed stream of blob, using a pooled
+// reader.
+func inflate(blob []byte, read func(io.Reader) error) error {
 	r := flateReaderPool.Get().(io.ReadCloser)
+	defer flateReaderPool.Put(r)
 	if err := r.(flate.Resetter).Reset(bytes.NewReader(blob), nil); err != nil {
-		return nil, fmt.Errorf("imgstore: reset inflate: %w", err)
+		return fmt.Errorf("imgstore: reset inflate: %w", err)
 	}
-	buf := scratchPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	_, rerr := buf.ReadFrom(r)
-	cerr := r.Close()
-	flateReaderPool.Put(r)
-	raw := append([]byte(nil), buf.Bytes()...)
-	scratchPool.Put(buf)
-	if rerr != nil {
-		return nil, fmt.Errorf("imgstore: decompress: %w", rerr)
+	if err := read(r); err != nil {
+		return err
 	}
-	if cerr != nil {
-		return nil, fmt.Errorf("imgstore: decompress close: %w", cerr)
+	if err := r.Close(); err != nil {
+		return fmt.Errorf("imgstore: decompress close: %w", err)
 	}
-	s.stats.bytesDecomp.Add(int64(len(raw)))
-	return raw, nil
+	return nil
+}
+
+// inflateBytes decompresses blob into a fresh slice.
+func (s *Store) inflateBytes(blob []byte) ([]byte, error) {
+	var buf bytes.Buffer
+	err := inflate(blob, func(r io.Reader) error {
+		if _, err := buf.ReadFrom(r); err != nil {
+			return fmt.Errorf("imgstore: decompress: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.stats.bytesDecomp.Add(int64(buf.Len()))
+	return buf.Bytes(), nil
+}
+
+// decodeFull inflates a full blob and checks it against id: the payload
+// must parse exactly and its content hash to id. decode and ImportBlob
+// both admit full blobs through it. The data is inflated straight into
+// the image's pages, and sealing attaches the leaf vector images run on
+// and derive from.
+func (s *Store) decodeFull(id ID, blob []byte) (*pmem.Image, error) {
+	var img *pmem.Image
+	err := inflate(blob[1:], func(r io.Reader) (err error) {
+		img, err = pmem.ReadImage(r, maxDeflateRatio*len(blob))
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("imgstore: corrupt full blob %s: %w", id, err)
+	}
+	s.stats.bytesDecomp.Add(int64(payloadSize(img)))
+	if got := ID(img.Seal()); got != id {
+		return nil, fmt.Errorf("imgstore: corrupt full blob %s: content hash %s", id, got)
+	}
+	return img, nil
 }
 
 // Put stores an image full-encoded, deduplicating by content hash, and
@@ -205,13 +244,13 @@ func (s *Store) Put(img *pmem.Image) (ID, bool, error) {
 
 // PutDelta stores an image delta-encoded against a base image already in
 // the store (baseID must be base's ID). The delta is the byte runs where
-// img.Data differs from base.Data; UUID and layout are carried in the
+// img differs from base; UUID and layout are carried in the
 // blob header. Falls back to full encoding when the base is unusable
 // (missing, nil, or of a different size). Deduplication and the returned
 // (ID, fresh) contract are identical to Put — callers cannot observe the
 // encoding except through Stats.
 func (s *Store) PutDelta(img *pmem.Image, baseID ID, base *pmem.Image) (ID, bool, error) {
-	if base == nil || len(base.Data) != len(img.Data) {
+	if base == nil || base.Size() != img.Size() {
 		return s.put(img, ID{}, nil)
 	}
 	return s.put(img, baseID, base)
@@ -240,7 +279,7 @@ func (s *Store) put(img *pmem.Image, baseID ID, base *pmem.Image) (ID, bool, err
 		}
 	}
 	if blob == nil {
-		compressed, err := s.deflate(img.Marshal())
+		compressed, err := s.deflate(img)
 		if err != nil {
 			return ID{}, false, err
 		}
@@ -255,18 +294,23 @@ func (s *Store) put(img *pmem.Image, baseID ID, base *pmem.Image) (ID, bool, err
 	return id, true, nil
 }
 
-// serializedSize is the size img.Marshal() would produce, computed
-// without building it.
+// payloadSize is the size of img's full-blob payload (img.WriteTo).
+func payloadSize(img *pmem.Image) int {
+	const magicLen, uuidLen, lenField = 8, 16, 8
+	return magicLen + uuidLen + lenField + len(img.Layout) + lenField + img.Size()
+}
+
+// serializedSize is the size img.Marshal() would produce — the image as
+// a checksummed file — computed without building it.
 func serializedSize(img *pmem.Image) int {
-	const magicLen, uuidLen, lenField, sumLen = 8, 16, 8, 32
-	return magicLen + uuidLen + lenField + len(img.Layout) + lenField + len(img.Data) + sumLen
+	return payloadSize(img) + sha256.Size
 }
 
 // encodeDeltaBlob builds: tag | baseID | uuid | uvarint layoutLen |
 // layout | uvarint dataLen | flate(delta payload), where the payload is
 // uvarint nRuns followed by (uvarint off, uvarint len, raw bytes) runs.
 func (s *Store) encodeDeltaBlob(img *pmem.Image, baseID ID, base *pmem.Image) ([]byte, error) {
-	runs := diffRuns(base.Data, img.Data)
+	runs := diffRuns(base, img)
 	payload := scratchPool.Get().(*bytes.Buffer)
 	payload.Reset()
 	var tmp [binary.MaxVarintLen64]byte
@@ -277,9 +321,12 @@ func (s *Store) encodeDeltaBlob(img *pmem.Image, baseID ID, base *pmem.Image) ([
 	for _, r := range runs {
 		putUvarint(uint64(r.Off))
 		putUvarint(uint64(r.Len))
-		payload.Write(img.Data[r.Off : r.Off+r.Len])
+		payload.Grow(r.Len)
+		run := payload.AvailableBuffer()[:r.Len]
+		img.ReadAt(run, int64(r.Off)) // runs lie within img
+		payload.Write(run)
 	}
-	compressed, err := s.deflate(payload.Bytes())
+	compressed, err := s.deflate(payload)
 	scratchPool.Put(payload)
 	if err != nil {
 		return nil, err
@@ -291,36 +338,32 @@ func (s *Store) encodeDeltaBlob(img *pmem.Image, baseID ID, base *pmem.Image) ([
 	blob = append(blob, img.UUID[:]...)
 	blob = append(blob, tmp[:binary.PutUvarint(tmp[:], uint64(len(img.Layout)))]...)
 	blob = append(blob, img.Layout...)
-	blob = append(blob, tmp[:binary.PutUvarint(tmp[:], uint64(len(img.Data)))]...)
+	blob = append(blob, tmp[:binary.PutUvarint(tmp[:], uint64(img.Size()))]...)
 	blob = append(blob, compressed...)
 	return blob, nil
 }
 
-// diffRuns returns the byte runs (cache-line granular) where b differs
-// from a. len(a) == len(b) is the caller's invariant.
-func diffRuns(a, b []byte) []pmem.Range {
+// diffRuns returns the byte runs (cache-line granular, adjacent lines
+// merged) where b differs from a. Only pages the two images do not share
+// are compared. a.Size() == b.Size() is the caller's invariant.
+func diffRuns(a, b *pmem.Image) []pmem.Range {
 	var runs []pmem.Range
-	for off := 0; off < len(b); {
-		end := off + pmem.LineSize
-		if end > len(b) {
-			end = len(b)
-		}
-		if bytes.Equal(a[off:end], b[off:end]) {
-			off = end
+	for p := range b.NumPages() {
+		if b.SharesPage(a, p) {
 			continue
 		}
-		start := off
-		for off < len(b) {
-			end = off + pmem.LineSize
-			if end > len(b) {
-				end = len(b)
+		pa, pb, base := a.Page(p), b.Page(p), p*pmem.PageSize
+		for off := 0; off < len(pb); off += pmem.LineSize {
+			end := min(off+pmem.LineSize, len(pb))
+			if bytes.Equal(pa[off:end], pb[off:end]) {
+				continue
 			}
-			if bytes.Equal(a[off:end], b[off:end]) {
-				break
+			if k := len(runs) - 1; k >= 0 && runs[k].End() == base+off {
+				runs[k].Len += end - off
+			} else {
+				runs = append(runs, pmem.Range{Off: base + off, Len: end - off})
 			}
-			off = end
 		}
-		runs = append(runs, pmem.Range{Off: start, Len: off - start})
 	}
 	return runs
 }
@@ -398,20 +441,7 @@ func (s *Store) decodeDepth(id ID, clock *pmem.Clock, depth int) (*pmem.Image, e
 		if clock != nil {
 			clock.ChargeDecompress()
 		}
-		raw, err := s.inflate(blob[1:])
-		if err != nil {
-			return nil, err
-		}
-		img, err := pmem.UnmarshalImage(raw)
-		if err != nil {
-			return nil, fmt.Errorf("imgstore: %w", err)
-		}
-		// Sealing attaches the leaf vector images run on and derive
-		// from, and checks the content against its key.
-		if ID(img.Seal()) != id {
-			return nil, fmt.Errorf("imgstore: corrupt full blob %s: content hash mismatch", id)
-		}
-		return img, nil
+		return s.decodeFull(id, blob)
 	case blobDelta:
 		return s.decodeDelta(id, blob, clock, depth)
 	default:
@@ -448,19 +478,19 @@ func (s *Store) decodeDelta(id ID, blob []byte, clock *pmem.Clock, depth int) (*
 	if err != nil {
 		return nil, fmt.Errorf("imgstore: delta base of %s: %w", id, err)
 	}
-	if len(base.Data) != int(dataLen) {
+	if uint64(base.Size()) != dataLen {
 		return nil, corrupt("base size mismatch")
 	}
 	if clock != nil {
 		clock.ChargeDeltaDecompress()
 	}
-	payload, err := s.inflate(blob[p:])
+	payload, err := s.inflateBytes(blob[p:])
 	if err != nil {
 		return nil, err
 	}
 
-	data := append([]byte(nil), base.Data...)
-	var runs []pmem.Range
+	// The image shares every page of the base but those the runs write.
+	edit := base.Edit()
 	q := 0
 	nRuns, n := binary.Uvarint(payload[q:])
 	if n <= 0 {
@@ -478,18 +508,16 @@ func (s *Store) decodeDelta(id ID, blob []byte, clock *pmem.Clock, depth int) (*
 			return nil, corrupt("run length")
 		}
 		q += n
-		if off > uint64(len(data)) || runLen > uint64(len(data))-off || runLen > uint64(len(payload)-q) {
+		if off > dataLen || runLen > dataLen-off || runLen > uint64(len(payload)-q) {
 			return nil, corrupt("run out of range")
 		}
-		copy(data[off:off+runLen], payload[q:q+int(runLen)])
-		runs = append(runs, pmem.Range{Off: int(off), Len: int(runLen)})
+		edit.WriteAt(payload[q:q+int(runLen)], int64(off)) // in range: checked above
 		q += int(runLen)
 	}
 
 	// Every byte a run wrote lies in a page the derived ID rehashes, so
 	// the check below is a real verification, at the cost of those pages.
-	img := &pmem.Image{UUID: uuid, Layout: layout, Data: data}
-	img.DeriveFrom(base, runs)
+	img := edit.Image(uuid, layout)
 	if got := ID(img.Hash()); got != id {
 		return nil, corrupt("reconstructed hash mismatch")
 	}

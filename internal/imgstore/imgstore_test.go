@@ -11,7 +11,7 @@ import (
 )
 
 func mkImage(fill byte, n int) *pmem.Image {
-	return &pmem.Image{Layout: "t", Data: bytes.Repeat([]byte{fill}, n)}
+	return pmem.NewImage([16]byte{}, "t", bytes.Repeat([]byte{fill}, n))
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -28,7 +28,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Data, img.Data) || got.Layout != img.Layout {
+	if !bytes.Equal(got.Bytes(), img.Bytes()) || got.Layout != img.Layout {
 		t.Fatalf("round trip mismatch")
 	}
 }
@@ -219,13 +219,13 @@ func TestStatsConcurrent(t *testing.T) {
 // mkDerived copies base and flips a few cache lines — the shape of a
 // crash image relative to its run's output image.
 func mkDerived(base *pmem.Image, lines ...int) *pmem.Image {
-	d := &pmem.Image{UUID: base.UUID, Layout: base.Layout, Data: append([]byte(nil), base.Data...)}
+	data := base.Bytes()
 	for _, l := range lines {
-		for i := l * pmem.LineSize; i < (l+1)*pmem.LineSize && i < len(d.Data); i++ {
-			d.Data[i] ^= 0x5A
+		for i := l * pmem.LineSize; i < (l+1)*pmem.LineSize && i < len(data); i++ {
+			data[i] ^= 0x5A
 		}
 	}
-	return d
+	return pmem.NewImage(base.UUID, base.Layout, data)
 }
 
 func TestDeltaPutGetRoundTrip(t *testing.T) {
@@ -248,7 +248,7 @@ func TestDeltaPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.UUID != img.UUID || got.Layout != img.Layout || !bytes.Equal(got.Data, img.Data) {
+	if got.UUID != img.UUID || got.Layout != img.Layout || !bytes.Equal(got.Bytes(), img.Bytes()) {
 		t.Fatalf("delta round trip mismatch")
 	}
 	if got.Hash() != img.Hash() {
@@ -260,8 +260,9 @@ func TestDeltaMuchSmallerThanFull(t *testing.T) {
 	// A three-line delta over a 64 KiB image must be far smaller than a
 	// full (compressed) copy of random data.
 	s := New(0)
-	base := &pmem.Image{Layout: "t", Data: make([]byte, 1<<16)}
-	rand.New(rand.NewSource(11)).Read(base.Data)
+	data := make([]byte, 1<<16)
+	rand.New(rand.NewSource(11)).Read(data)
+	base := pmem.NewImage([16]byte{}, "t", data)
 	baseID, _, _ := s.Put(base)
 	fullBytes := s.Stats().CompressedBytes
 	if _, _, err := s.PutDelta(mkDerived(base, 2, 3, 99), baseID, base); err != nil {
@@ -293,7 +294,7 @@ func TestDeltaFallsBackToFull(t *testing.T) {
 			t.Fatalf("case %d: fresh=%v err=%v", i, fresh, err)
 		}
 		got, err := s.Get(id, nil)
-		if err != nil || !bytes.Equal(got.Data, c.img.Data) {
+		if err != nil || !bytes.Equal(got.Bytes(), c.img.Bytes()) {
 			t.Fatalf("case %d: round trip failed: %v", i, err)
 		}
 	}
@@ -333,7 +334,7 @@ func TestDeltaDedupAndChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Data, prev.Data) {
+	if !bytes.Equal(got.Bytes(), prev.Bytes()) {
 		t.Fatalf("chained delta decode mismatch")
 	}
 	if clock.Now() == 0 {
@@ -386,7 +387,7 @@ func TestDeltaConcurrentPuts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Data, mkDerived(base, w, w+workers).Data) {
+		if !bytes.Equal(got.Bytes(), mkDerived(base, w, w+workers).Bytes()) {
 			t.Fatalf("worker %d: concurrent delta corrupted", w)
 		}
 	}
@@ -395,7 +396,7 @@ func TestDeltaConcurrentPuts(t *testing.T) {
 func TestPutGetPropertyRoundTrip(t *testing.T) {
 	s := New(8)
 	f := func(data []byte) bool {
-		img := &pmem.Image{Layout: "p", Data: data}
+		img := pmem.NewImage([16]byte{}, "p", data)
 		id, _, err := s.Put(img)
 		if err != nil {
 			return false
@@ -404,7 +405,7 @@ func TestPutGetPropertyRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(got.Data, data)
+		return bytes.Equal(got.Bytes(), data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -428,7 +429,7 @@ func TestPinKeepsImageResident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(p1.Data, img.Data) {
+	if !bytes.Equal(p1.Bytes(), img.Bytes()) {
 		t.Fatalf("pinned image data mismatch")
 	}
 	if !s.Pinned(id) || !s.Cached(id) {
@@ -460,4 +461,90 @@ func TestPinKeepsImageResident(t *testing.T) {
 	}
 	// Unpinning an unpinned image is a no-op.
 	s.Unpin(id)
+}
+
+// TestPageSharedStoreRoundTrip stores a family of images that share
+// pages — a base, device outputs and crash states run from it, and edits
+// of those — full and delta-encoded, and requires every Get (from the
+// store and from a second store the blobs were imported into, neither
+// caching) to return the stored bytes under the stored ID, checked
+// against flat references taken before the Put.
+func TestPageSharedStoreRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	data := make([]byte, 5*pmem.PageSize+300)
+	rng.Read(data)
+	base := pmem.NewImage([16]byte{2}, "share", data)
+	imgs := []*pmem.Image{base}
+	for i := range 12 {
+		from := imgs[rng.Intn(len(imgs))]
+		if i%3 == 2 {
+			e := from.Edit()
+			run := make([]byte, 1+rng.Intn(2*pmem.LineSize))
+			rng.Read(run)
+			e.WriteAt(run, int64(rng.Intn(from.Size()-len(run))))
+			imgs = append(imgs, e.Image(from.UUID, from.Layout))
+			continue
+		}
+		d := pmem.NewDeviceFromImage(from)
+		for op := range 10 {
+			p := make([]byte, 8)
+			rng.Read(p)
+			off := rng.Intn(from.Size() - len(p))
+			d.Store(off, p, 0)
+			if op%2 == 0 {
+				d.Flush(off, len(p), 0)
+				d.Fence(0)
+			}
+		}
+		if i%3 == 1 {
+			imgs = append(imgs, d.PersistedImage(from.UUID, from.Layout))
+		} else {
+			imgs = append(imgs, d.Close(from.UUID, from.Layout))
+		}
+	}
+
+	s := New(0)
+	ids := make([]ID, len(imgs))
+	want := make([][]byte, len(imgs))
+	for i, img := range imgs {
+		want[i] = img.Bytes()
+		var err error
+		if i == 0 || i%2 == 1 {
+			ids[i], _, err = s.Put(img)
+		} else {
+			ids[i], _, err = s.PutDelta(img, ids[0], base)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ids[i] != ID(pmem.ContentHash(img.UUID, img.Layout, want[i])) {
+			t.Fatalf("image %d stored under an ID other than its cold ID", i)
+		}
+	}
+	peer := New(0) // the base first: every delta is over it
+	for _, id := range append([]ID{ids[0]}, s.IDs()...) {
+		blob, _, _, _ := s.ExportBlob(id)
+		if _, err := peer.ImportBlob(id, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, st := range []*Store{s, peer} {
+		for i, id := range ids {
+			got, err := st.Get(id, nil)
+			if err != nil {
+				t.Fatalf("image %d: %v", i, err)
+			}
+			if !bytes.Equal(got.Bytes(), want[i]) {
+				t.Fatalf("image %d: decoded bytes differ from the stored image", i)
+			}
+			if ID(got.Hash()) != id || ID(got.Clone().Hash()) != id {
+				t.Fatalf("image %d: decoded image hashes to another ID", i)
+			}
+		}
+	}
+	for i, img := range imgs {
+		if !bytes.Equal(img.Bytes(), want[i]) {
+			t.Fatalf("image %d changed after the store round trip", i)
+		}
+	}
 }

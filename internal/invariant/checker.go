@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"slices"
 
 	"pmfuzz/internal/executor"
 	"pmfuzz/internal/obs"
@@ -159,12 +160,10 @@ func (c *Checker) Observe(m *Miner, tc executor.TestCase, opts Options) error {
 		if res.Faulted() {
 			err := fmt.Errorf("invariant: prefix %d/%d faulted: panicked=%v err=%v",
 				k, len(lines), res.Panicked, res.Err)
-			c.recArena.RecycleImage(res.Image)
 			c.recArena.Recycle(res)
 			return err
 		}
-		m.Observe(res.Trace.Events(), res.Image.Data)
-		c.recArena.RecycleImage(res.Image)
+		m.Observe(res.Trace.Events(), res.Image)
 		c.recArena.Recycle(res)
 	}
 	return nil
@@ -443,17 +442,22 @@ func (c *Checker) validateValues(tc executor.TestCase, set *Set, fullImg *pmem.I
 	if len(values) == 0 {
 		return true
 	}
-	check := func(data []byte) {
+	var buf []byte
+	check := func(img *pmem.Image) {
 		for _, iv := range values {
 			if dropped[iv] {
 				continue
 			}
-			if iv.Off+iv.Len > len(data) || !bytes.Equal(data[iv.Off:iv.Off+iv.Len], iv.Data) {
+			if iv.Off+iv.Len > img.Size() {
+				dropped[iv] = true
+				continue
+			}
+			if buf = readRange(buf, img, iv.Off, iv.Len); !bytes.Equal(buf, iv.Data) {
 				dropped[iv] = true
 			}
 		}
 	}
-	check(fullImg.Data)
+	check(fullImg)
 	lines := splitLines(tc.Input)
 	maxCmds := opts.MaxCommands
 	if maxCmds <= 0 {
@@ -473,12 +477,10 @@ func (c *Checker) validateValues(tc executor.TestCase, set *Set, fullImg *pmem.I
 		if res.Faulted() {
 			rep.Skipped = fmt.Sprintf("prefix %d/%d execution faulted: panicked=%v err=%v",
 				k, len(lines), res.Panicked, res.Err)
-			c.recArena.RecycleImage(res.Image)
 			c.recArena.Recycle(res)
 			return false
 		}
-		check(res.Image.Data)
-		c.recArena.RecycleImage(res.Image)
+		check(res.Image)
 		c.recArena.Recycle(res)
 	}
 	return true
@@ -513,10 +515,7 @@ func (c *Checker) recoverJudge(tc executor.TestCase, crash *executor.Result, val
 		MaxCommands: -1,
 		MaxOps:      opts.MaxOps,
 	})
-	defer func() {
-		c.recArena.RecycleImage(res.Image)
-		c.recArena.Recycle(res)
-	}()
+	defer c.recArena.Recycle(res)
 	switch {
 	case res.Panicked:
 		return []*Violation{{Kind: "recovery-fault", Detail: fmt.Sprint(res.PanicVal)}}
@@ -529,17 +528,16 @@ func (c *Checker) recoverJudge(tc executor.TestCase, crash *executor.Result, val
 		}
 	}
 	var out []*Violation
-	data := res.Image.Data
+	var got []byte
 	for _, iv := range values {
-		if iv.Off+iv.Len > len(data) {
+		if size := res.Image.Size(); iv.Off+iv.Len > size {
 			out = append(out, &Violation{
 				Kind: "value-mismatch", Inv: iv.Short(),
-				Detail: fmt.Sprintf("%s: recovered image too small (%d bytes)", iv.Short(), len(data)),
+				Detail: fmt.Sprintf("%s: recovered image too small (%d bytes)", iv.Short(), size),
 			})
 			continue
 		}
-		got := data[iv.Off : iv.Off+iv.Len]
-		if !bytes.Equal(got, iv.Data) {
+		if got = readRange(got, res.Image, iv.Off, iv.Len); !bytes.Equal(got, iv.Data) {
 			out = append(out, &Violation{
 				Kind: "value-mismatch", Inv: iv.Short(),
 				Detail: fmt.Sprintf("%s: at rest after recovery got %s, want %s",
@@ -548,6 +546,14 @@ func (c *Checker) recoverJudge(tc executor.TestCase, crash *executor.Result, val
 		}
 	}
 	return out
+}
+
+// readRange reads img's bytes [off, off+n), which must lie within img,
+// into buf's storage (grown as needed) and returns them.
+func readRange(buf []byte, img *pmem.Image, off, n int) []byte {
+	buf = slices.Grow(buf[:0], n)[:n]
+	img.ReadAt(buf, int64(off))
+	return buf
 }
 
 // hexTrunc hex-dumps at most 16 bytes.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"pmfuzz/internal/pmem"
 	"pmfuzz/internal/trace"
 )
 
@@ -34,7 +35,7 @@ func FuzzInvariantParse(f *testing.F) {
 
 // synthObservation decodes one synthetic observation from fuzz bytes:
 // a PM-op trace (4 bytes per event) plus a small derived at-rest image.
-func synthObservation(data []byte) ([]trace.Event, []byte) {
+func synthObservation(data []byte) ([]trace.Event, *pmem.Image) {
 	var evs []trace.Event
 	seq := 0
 	for len(data) >= 4 {
@@ -73,7 +74,7 @@ func synthObservation(data []byte) ([]trace.Event, []byte) {
 			img[ev.Off+i] = byte(ev.Site)
 		}
 	}
-	return evs, img
+	return evs, pmem.NewImage([16]byte{}, "fuzz", img)
 }
 
 // FuzzMinerTrace feeds synthetic PM-op traces to the miner: it must

@@ -320,8 +320,8 @@ func TestMinerPrefixSoundness(t *testing.T) {
 					if iv.Kind != Value {
 						continue
 					}
-					if iv.Off+iv.Len > len(res.Image.Data) ||
-						!bytes.Equal(res.Image.Data[iv.Off:iv.Off+iv.Len], iv.Data) {
+					if iv.Off+iv.Len > res.Image.Size() ||
+						!bytes.Equal(res.Image.Bytes()[iv.Off:iv.Off+iv.Len], iv.Data) {
 						t.Errorf("prefix %d contradicts mined rule %s", k, iv.Line())
 					}
 				}
@@ -351,7 +351,7 @@ func TestMinerObservationOrderIndependence(t *testing.T) {
 			if res.Faulted() {
 				t.Fatalf("observation %d faulted", i)
 			}
-			m.Observe(res.Trace.Events(), res.Image.Data)
+			m.Observe(res.Trace.Events(), res.Image)
 		}
 		return m.Mine().Marshal()
 	}

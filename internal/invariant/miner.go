@@ -1,6 +1,7 @@
 package invariant
 
 import (
+	"pmfuzz/internal/pmem"
 	"pmfuzz/internal/trace"
 )
 
@@ -23,11 +24,11 @@ type Miner struct {
 	// Value evidence: candidate ranges come from observed stores, but a
 	// range is judged against EVERY observation's at-rest image — an
 	// image from an execution that never wrote the range still refutes
-	// it if its bytes differ. refImg holds one observed image; unstable
+	// it if its bytes differ. ref holds one observed image; unstable
 	// marks bytes on which some pair of observed images disagreed; both
 	// are order-independent summaries of the image set.
 	valSeen  map[valKey]int // range -> observations whose trace stored it
-	refImg   []byte
+	ref      *pmem.Image
 	unstable []bool
 	imgLen   int // agreement window: min image length across observations
 }
@@ -55,9 +56,9 @@ func NewMiner(workload string) *Miner {
 func (m *Miner) Workload() string { return m.workload }
 
 // Observe folds one clean execution into the evidence: events is its
-// full PM-op trace, final the at-rest image bytes after Close (nil
-// skips value mining for this observation).
-func (m *Miner) Observe(events []trace.Event, final []byte) {
+// full PM-op trace, final the at-rest image after Close (nil skips
+// value mining for this observation).
+func (m *Miner) Observe(events []trace.Event, final *pmem.Image) {
 	m.observeAnalysis(analyze(events), final)
 }
 
@@ -65,7 +66,7 @@ func (m *Miner) Observe(events []trace.Event, final []byte) {
 // collected into per-observation verdict maps first, then folded into
 // the cumulative counters, so one observation contributes at most one
 // seen-count per pair regardless of how often the pair recurs.
-func (m *Miner) observeAnalysis(an *analysis, final []byte) {
+func (m *Miner) observeAnalysis(an *analysis, final *pmem.Image) {
 	orderOK := map[uint64]bool{}
 	atomOK := map[uint64]bool{}
 	seenVal := map[valKey]bool{}
@@ -101,7 +102,7 @@ func (m *Miner) observeAnalysis(an *analysis, final []byte) {
 		last[x.site] = i
 
 		if final != nil && x.len > 0 && x.len <= maxValueLen &&
-			x.off >= 0 && x.off+x.len <= len(final) {
+			x.off >= 0 && x.off+x.len <= final.Size() {
 			seenVal[valKey{site: x.site, off: x.off, len: x.len}] = true
 		}
 	}
@@ -123,23 +124,28 @@ func (m *Miner) observeAnalysis(an *analysis, final []byte) {
 	m.mergeImage(final)
 }
 
-// mergeImage folds one at-rest image into the byte-agreement summary.
-func (m *Miner) mergeImage(final []byte) {
+// mergeImage folds one at-rest image into the byte-agreement summary,
+// comparing only the pages it does not share with the reference image.
+func (m *Miner) mergeImage(final *pmem.Image) {
 	if final == nil {
 		return
 	}
-	if m.refImg == nil {
-		m.refImg = append([]byte(nil), final...)
-		m.unstable = make([]bool, len(final))
-		m.imgLen = len(final)
+	if m.ref == nil {
+		m.ref = final
+		m.unstable = make([]bool, final.Size())
+		m.imgLen = final.Size()
 		return
 	}
-	if len(final) < m.imgLen {
-		m.imgLen = len(final)
-	}
-	for i := 0; i < m.imgLen; i++ {
-		if final[i] != m.refImg[i] {
-			m.unstable[i] = true
+	m.imgLen = min(m.imgLen, final.Size())
+	for p := 0; p*pmem.PageSize < m.imgLen; p++ {
+		if final.SharesPage(m.ref, p) {
+			continue
+		}
+		a, b, off := m.ref.Page(p), final.Page(p), p*pmem.PageSize
+		for i := range min(len(a), len(b), m.imgLen-off) {
+			if a[i] != b[i] {
+				m.unstable[off+i] = true
+			}
 		}
 	}
 }
@@ -177,7 +183,7 @@ cand:
 		}
 		s.Invs = append(s.Invs, &Invariant{
 			Kind: Value, A: k.site, Off: k.off, Len: k.len,
-			Data: append([]byte(nil), m.refImg[k.off:k.off+k.len]...), Support: n,
+			Data: readRange(nil, m.ref, k.off, k.len), Support: n,
 		})
 	}
 	s.Canonicalize()

@@ -33,7 +33,7 @@ func BenchmarkPersistedSnapshot(b *testing.B) {
 }
 
 func BenchmarkImageMarshal(b *testing.B) {
-	img := &Image{Layout: "bench", Data: make([]byte, 1<<20)}
+	img := NewImage([16]byte{}, "bench", make([]byte, 1<<20))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = img.Marshal()
@@ -44,19 +44,19 @@ func BenchmarkImageMarshal(b *testing.B) {
 // page, "derived" rehashes one dirty page over a base's leaves and runs
 // the root pass — the cost a crash image pays.
 func BenchmarkImageHash(b *testing.B) {
-	base := &Image{Layout: "bench", Data: make([]byte, 1<<20)}
+	base := NewImage([16]byte{}, "bench", make([]byte, 1<<20))
 	base.Seal()
 	b.Run("cold", func(b *testing.B) {
-		img := &Image{Layout: "bench", Data: base.Data}
+		img := NewImage([16]byte{}, "bench", base.Bytes())
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = img.Hash()
 		}
 	})
 	b.Run("derived", func(b *testing.B) {
-		img := &Image{Layout: "bench", Data: append([]byte(nil), base.Data...)}
-		img.Data[5*PageSize+7] = 1
-		img.DeriveFrom(base, []Range{{Off: 5*PageSize + 7, Len: 1}})
+		e := base.Edit()
+		e.WriteAt([]byte{1}, 5*PageSize+7)
+		img := e.Image([16]byte{}, "bench")
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			_ = img.Hash()

@@ -16,8 +16,8 @@ package pmem
 //
 //   - ImageHash: the ID of the crash state, bit-identical to Image.Hash
 //     on the materialized image (zero UUID). Computed by walking ONE
-//     working buffer forward through the journal, applying each point's
-//     delta in place and rehashing only the pages the delta wrote before
+//     copy-on-write page vector forward through the journal, applying
+//     each point's delta and rehashing only the pages the delta wrote before
 //     the root pass (the page digest of digest.go).
 //   - TaintSig: the shape of the taint set (Checkpoint.Lost / PreLost) —
 //     which byte ranges were written but never persisted.
@@ -32,8 +32,8 @@ package pmem
 // Fingerprint identifies one crash point's recovery-relevant state,
 // derived from the sweep journal without materializing the image.
 type Fingerprint struct {
-	// ImageHash is the crash image's ID (equal to
-	// Image{Layout: layout, Data: data}.Hash() with a zero UUID).
+	// ImageHash is the crash image's ID (equal to Hash of the
+	// materialized image, whose UUID is zero).
 	ImageHash [32]byte
 	// TaintSig digests the taint-set shape: FNV-1a over the (Off, Len)
 	// pairs of the point's lost ranges.
@@ -47,26 +47,20 @@ type Fingerprint struct {
 }
 
 // Partitioner fingerprints a Sweep's crash points in cursor order. It
-// keeps a single working buffer: for each barrier it applies PreDelta in
-// place, fingerprints the pre-fence state, then applies the full Delta on
+// keeps a single copy-on-write page vector, which clones a base page
+// on its first write: for each barrier it applies PreDelta, fingerprints the pre-fence state, then applies the full Delta on
 // top (PreDelta is a subset of Delta with identical bytes, so the
 // re-application is a no-op) and fingerprints the barrier state. Only
 // the pages written since the previous fingerprint are rehashed, so
 // sibling states pay for their delta plus the root pass. Forward access
 // is O(delta) per point; seeking backwards rebuilds from the base.
 type Partitioner struct {
-	s      *Sweep
+	journalWalk
 	layout string
-	buf    []byte
-	leaves leafTracker
-	// pos counts barriers applied to buf; prePending is the barrier whose
-	// PreDelta is applied on top of pos (0 = none).
+	// pos counts barriers applied to the pages; prePending is the barrier
+	// whose PreDelta is applied on top of pos (0 = none).
 	pos        int
 	prePending int
-	// appliedLines counts delta lines applied (rebuilds included) — the
-	// unit the simulated clock charges for materialization, mirroring
-	// SweepCursor.
-	appliedLines int
 	// Memoized CommitVarsAt slice: consecutive points usually share the
 	// registration count.
 	cvN      int
@@ -77,36 +71,21 @@ type Partitioner struct {
 // points. layout must match the layout of the images the sweep's cursor
 // materializes, so ImageHash values agree with Image.Hash.
 func (s *Sweep) Partition(layout string) *Partitioner {
-	p := &Partitioner{
-		s:      s,
-		layout: layout,
-		buf:    append([]byte(nil), s.base...),
-		cvN:    -1,
-	}
-	p.leaves.reset(s.leaves)
+	p := &Partitioner{journalWalk: journalWalk{s: s}, layout: layout, cvN: -1}
+	p.rewind()
 	return p
 }
 
-// AppliedLines returns the cumulative count of delta lines applied.
-func (p *Partitioner) AppliedLines() int { return p.appliedLines }
-
-func (p *Partitioner) applyDelta(ds []LineDelta) {
-	applyDeltaTo(p.buf, ds)
-	p.leaves.markLines(ds)
-	p.appliedLines += len(ds)
-}
-
-// ensure brings buf to the persisted state after barrier b-1 (possibly
+// ensure brings the pages to the persisted state after barrier b-1 (possibly
 // with barrier b's own PreDelta already applied), rebuilding from the
 // base on backward or out-of-order access.
 func (p *Partitioner) ensure(b int) {
 	if (p.prePending != 0 && p.prePending != b) || p.pos > b-1 {
-		copy(p.buf, p.s.base)
-		p.leaves.reset(p.s.leaves)
+		p.rewind()
 		p.pos, p.prePending = 0, 0
 	}
 	for p.pos < b-1 {
-		p.applyDelta(p.s.cps[p.pos].Delta)
+		p.apply(p.s.cps[p.pos].Delta)
 		p.pos++
 	}
 }
@@ -122,7 +101,7 @@ func (p *Partitioner) PreFence(b int) (fp Fingerprint, ok bool) {
 		return Fingerprint{}, false
 	}
 	p.ensure(b)
-	p.applyDelta(cp.PreDelta)
+	p.apply(cp.PreDelta)
 	p.prePending = b
 	return p.point(cp.PreLost, cp.PreCommitVarCount), true
 }
@@ -133,23 +112,23 @@ func (p *Partitioner) Barrier(b int) Fingerprint {
 	p.ensure(b)
 	// The full Delta re-applies any pending PreDelta lines with identical
 	// bytes, so a preceding PreFence(b) never needs undoing.
-	p.applyDelta(p.s.cps[b-1].Delta)
+	p.apply(p.s.cps[b-1].Delta)
 	p.pos, p.prePending = b, 0
 	return p.point(p.s.cps[b-1].Lost, p.s.cps[b-1].CommitVarCount)
 }
 
-// point assembles the fingerprint of buf's current state. cvCount is the
+// point assembles the fingerprint of the pages' current state. cvCount is the
 // registration count at the point; the fingerprint carries the
 // normalized range count so it matches what a materialized Result's
 // CommitVars would expose.
 func (p *Partitioner) point(lost []Range, cvCount int) Fingerprint {
 	rs := p.cvRangesAt(cvCount)
-	p.leaves.sync(p.buf)
+	p.leaves.sync(p.pages.pages)
 	return Fingerprint{
-		ImageHash: rootOf([16]byte{}, p.layout, p.buf, p.leaves.leaves, nil),
+		ImageHash: rootOf([16]byte{}, p.layout, p.pages.pages, p.leaves.leaves, nil),
 		TaintSig:  TaintSignature(lost),
 		CVCount:   len(rs),
-		CVHash:    CommitVarSignature(rs, p.buf),
+		CVHash:    cvSignature(rs, p.pages.pages),
 	}
 }
 
@@ -205,24 +184,22 @@ func TaintSignature(rs []Range) uint64 {
 }
 
 // CommitVarSignature digests commit-variable ranges together with their
-// durable content in data — the bytes recovery dispatches on. Ranges
+// durable content in img — the bytes recovery dispatches on. Ranges
 // extending past the data (defensive; registration is device-bounded)
 // are clipped.
-func CommitVarSignature(rs []Range, data []byte) uint64 {
+func CommitVarSignature(rs []Range, img *Image) uint64 {
+	return cvSignature(rs, img.pages)
+}
+
+// cvSignature is CommitVarSignature over a page vector, read page by
+// page.
+func cvSignature(rs []Range, pages [][]byte) uint64 {
 	h := uint64(fnvOffset64)
+	size := pagesSize(pages)
 	for _, r := range rs {
 		h = fnvInt(h, r.Off)
 		h = fnvInt(h, r.Len)
-		lo, hi := r.Off, r.End()
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > len(data) {
-			hi = len(data)
-		}
-		if lo < hi {
-			h = fnvBytes(h, data[lo:hi])
-		}
+		eachChunk(pages, max(r.Off, 0), min(r.End(), size), func(c []byte) { h = fnvBytes(h, c) })
 	}
 	return h
 }

@@ -57,11 +57,12 @@ func TestPartitionerMatchesCursor(t *testing.T) {
 
 		wantFP := func(data []byte, lost []Range, cvCount int) Fingerprint {
 			rs := sw.CommitVarsAt(cvCount)
+			img := NewImage([16]byte{}, layout, data)
 			return Fingerprint{
-				ImageHash: (&Image{Layout: layout, Data: data}).Hash(),
+				ImageHash: img.Hash(),
 				TaintSig:  TaintSignature(lost),
 				CVCount:   len(rs),
-				CVHash:    CommitVarSignature(rs, data),
+				CVHash:    CommitVarSignature(rs, img),
 			}
 		}
 
@@ -78,7 +79,7 @@ func TestPartitionerMatchesCursor(t *testing.T) {
 				if !ok {
 					t.Fatalf("seed %d barrier %d: PreFence refused an existing point", seed, b)
 				}
-				want := wantFP(cur.PreFenceImage(b, "").Data, cp.PreLost, cp.PreCommitVarCount)
+				want := wantFP(cur.PreFenceImage(b, "").Bytes(), cp.PreLost, cp.PreCommitVarCount)
 				if fp != want {
 					t.Fatalf("seed %d barrier %d: pre-fence fingerprint differs:\n got %+v\nwant %+v", seed, b, fp, want)
 				}
@@ -87,7 +88,7 @@ func TestPartitionerMatchesCursor(t *testing.T) {
 				t.Fatalf("seed %d barrier %d: PreFence accepted a nonexistent point", seed, b)
 			}
 			fp := part.Barrier(b)
-			want := wantFP(cur.Image(b, "").Data, cp.Lost, cp.CommitVarCount)
+			want := wantFP(cur.Image(b, "").Bytes(), cp.Lost, cp.CommitVarCount)
 			if fp != want {
 				t.Fatalf("seed %d barrier %d: barrier fingerprint differs:\n got %+v\nwant %+v", seed, b, fp, want)
 			}
@@ -127,18 +128,18 @@ func TestSweepCursorSeekOrder(t *testing.T) {
 	prefence := make(map[int][]byte)
 	for b := 1; b <= sw.Barriers(); b++ {
 		if sw.Checkpoint(b).PreOp >= 1 {
-			prefence[b] = fwd.PreFenceImage(b, "").Data
+			prefence[b] = fwd.PreFenceImage(b, "").Bytes()
 		}
-		images[b] = fwd.Image(b, "").Data
+		images[b] = fwd.Image(b, "").Bytes()
 	}
 
 	// Strictly backward on one persistent cursor.
 	back := sw.Cursor()
 	for b := sw.Barriers(); b >= 1; b-- {
-		if !bytes.Equal(back.Image(b, "").Data, images[b]) {
+		if !bytes.Equal(back.Image(b, "").Bytes(), images[b]) {
 			t.Fatalf("backward seek to %d diverges", b)
 		}
-		if want, ok := prefence[b]; ok && !bytes.Equal(back.PreFenceImage(b, "").Data, want) {
+		if want, ok := prefence[b]; ok && !bytes.Equal(back.PreFenceImage(b, "").Bytes(), want) {
 			t.Fatalf("backward pre-fence seek to %d diverges", b)
 		}
 	}
@@ -147,7 +148,7 @@ func TestSweepCursorSeekOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 32; i++ {
 		b := 1 + rng.Intn(sw.Barriers())
-		if !bytes.Equal(back.Image(b, "").Data, images[b]) {
+		if !bytes.Equal(back.Image(b, "").Bytes(), images[b]) {
 			t.Fatalf("random seek to %d diverges", b)
 		}
 	}

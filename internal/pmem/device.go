@@ -23,6 +23,7 @@
 package pmem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -116,15 +117,17 @@ type Device struct {
 	nDirty     int
 	nQueued    int
 
-	// lastBase identifies the image the previous Reset started from, so a
-	// Reset onto the same image can restore only the touched lines.
-	lastBase     *Image
-	lastBaseData []byte
-	lastEmpty    bool
-	// baseLeaves is the leaf vector of the state the last reset restored
-	// (the base image's, or zero pages), computed on first use and kept
-	// across fast resets onto the same base. Shared with output images,
-	// so never written in place.
+	// base is the image the last reset restored (nil: an empty device)
+	// and basePages its page vector (zeroVec, for an empty device).
+	// Outside the pages holding touched lines, persisted and volatile
+	// state equal basePages, so snapshots share those pages and the next
+	// reset copies only the pages whose reference changes.
+	base      *Image
+	basePages [][]byte
+	zeroVec   [][]byte // zeroPages of the device size, built once
+	// baseLeaves is the leaf vector of basePages, computed on first use
+	// and kept across resets onto the same base. Shared with output
+	// images, so never written in place.
 	baseLeaves []byte
 
 	// scratch buffers for sorted line collection (UnpersistedRanges and
@@ -134,11 +137,10 @@ type Device struct {
 	scratchC     []int
 	scratchPages []int32
 
-	tracer    *instr.Tracer
-	sink      trace.Sink
-	injector  FailureInjector
-	clock     *Clock
-	snapAlloc func(n int) []byte // optional snapshot-buffer allocator
+	tracer   *instr.Tracer
+	sink     trace.Sink
+	injector FailureInjector
+	clock    *Clock
 
 	opCount      int
 	opLimit      int // 0 = unlimited
@@ -188,10 +190,10 @@ func NewDeviceFromImage(img *Image) *Device {
 // reusing every internal buffer. It is the persistent-mode analog: a
 // fuzzing worker keeps one device arena and resets it per execution
 // instead of allocating ~2×poolsize each run. Attached tracer, sink,
-// injector, clock, snapshot allocator, op limit, sweep journal, and all
-// counters are cleared.
+// injector, clock, op limit, sweep journal, and all counters are
+// cleared.
 func (d *Device) Reset(img *Image) {
-	d.resetState(len(img.Data), img)
+	d.resetState(img.Size(), img)
 }
 
 // ResetEmpty is Reset onto a zeroed device of the given size — the
@@ -209,42 +211,42 @@ func (d *Device) resetState(size int, base *Image) {
 		d.lineState = make([]uint8, nl)
 		d.touchEpoch = make([]uint32, nl)
 		d.epoch = 0 // bumped below; fresh zero stamps then read as clean
-		d.lastBase, d.lastBaseData, d.lastEmpty = nil, nil, false
+		d.zeroVec = zeroPages(size)
+		d.basePages, d.baseLeaves = nil, nil // nothing restored yet
 	}
 
-	// Content restore. The fast path applies when the device is reset onto
-	// the very image (same *Image, same backing array) the previous
-	// execution started from: only touched lines can differ from the base
-	// — persisted bytes change solely on drained/evicted lines (all
-	// entered via Store/NTStore) and volatile bytes solely in
-	// Store/NTStore, both of which stamp touchList.
-	switch {
-	case base != nil && d.lastBase == base && sameSlice(d.lastBaseData, base.Data):
-		for _, l32 := range d.touchList {
-			start, end := lineBounds(int(l32), size)
-			copy(d.persisted[start:end], base.Data[start:end])
-			copy(d.volatile[start:end], base.Data[start:end])
-		}
-	case base == nil && d.lastEmpty:
-		for _, l32 := range d.touchList {
-			start, end := lineBounds(int(l32), size)
-			clear(d.persisted[start:end])
-			clear(d.volatile[start:end])
-		}
-	case base != nil:
-		copy(d.persisted, base.Data)
-		copy(d.volatile, base.Data)
-		d.baseLeaves = nil
-	default:
-		clear(d.persisted)
-		clear(d.volatile)
-		d.baseLeaves = nil
-	}
+	// Content restore. A page is copied when the new vector holds a
+	// different page there than the vector last restored. On every other
+	// page only touched lines can differ from it: persisted bytes change
+	// solely on drained or evicted lines (all entered via Store/NTStore)
+	// and volatile bytes solely in Store/NTStore, both of which stamp
+	// touchList.
+	pages := d.zeroVec
 	if base != nil {
-		d.lastBase, d.lastBaseData, d.lastEmpty = base, base.Data, false
-	} else {
-		d.lastBase, d.lastBaseData, d.lastEmpty = nil, nil, true
+		pages = base.pages
 	}
+	restored := d.basePages
+	for p, pg := range pages {
+		if restored == nil || !samePage(pg, restored[p]) {
+			copy(d.persisted[p*PageSize:], pg)
+			copy(d.volatile[p*PageSize:], pg)
+		}
+	}
+	if restored != nil {
+		for _, l32 := range d.touchList {
+			p := pageOfLine(int(l32))
+			if samePage(pages[p], restored[p]) {
+				start, end := lineBounds(int(l32), size)
+				in := start - int(p)*PageSize
+				copy(d.persisted[start:end], pages[p][in:])
+				copy(d.volatile[start:end], pages[p][in:])
+			}
+		}
+	}
+	if base != d.base || restored == nil {
+		d.baseLeaves = nil
+	}
+	d.base, d.basePages = base, pages
 
 	d.epoch++
 	if d.epoch == 0 { // uint32 wraparound: stale stamps could alias
@@ -261,7 +263,6 @@ func (d *Device) resetState(size int, base *Image) {
 	d.sink = nil
 	d.injector = nil
 	d.clock = nil
-	d.snapAlloc = nil
 	d.opCount = 0
 	d.opLimit = 0
 	d.barrierCount = 0
@@ -274,12 +275,6 @@ func (d *Device) resetState(size int, base *Image) {
 	d.cvNormAt = 0
 	d.sweep = nil
 	d.stats = Stats{}
-}
-
-// sameSlice reports whether two byte slices share identical length and
-// backing array start — the identity test behind the fast Reset path.
-func sameSlice(a, b []byte) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // SetTracer attaches a coverage tracer; PM operations are reported to it
@@ -343,13 +338,6 @@ func (d *Device) Barriers() int { return d.barrierCount }
 func (d *Device) BarrierOps() []int {
 	return d.barrierOps
 }
-
-// SetSnapshotAlloc installs the allocator PersistedSnapshot and
-// VolatileSnapshot draw their output buffers from (an arena's buffer
-// pool); contents are fully overwritten before return. A nil allocator,
-// or one returning a wrong-sized buffer, falls back to make. Reset
-// clears the hook.
-func (d *Device) SetSnapshotAlloc(f func(n int) []byte) { d.snapAlloc = f }
 
 // Ops returns how many PM operations have executed.
 func (d *Device) Ops() int { return d.opCount }
@@ -633,37 +621,42 @@ func (d *Device) UnpersistedRanges() []Range {
 	return diffRangesOverLines(d.scratchA, d.volatile, d.persisted)
 }
 
-// snapBuf returns a device-sized output buffer, preferring the installed
-// snapshot allocator (arena pool) over a fresh allocation.
-func (d *Device) snapBuf() []byte {
-	if d.snapAlloc != nil {
-		if b := d.snapAlloc(len(d.persisted)); len(b) == len(d.persisted) {
-			return b
-		}
-	}
-	return make([]byte, len(d.persisted))
-}
-
-// PersistedSnapshot returns a copy of the durable state — the crash image
-// a failure at this instant would leave behind.
+// PersistedSnapshot returns a flat copy of the durable state — the
+// crash image a failure at this instant would leave behind.
 func (d *Device) PersistedSnapshot() []byte {
-	out := d.snapBuf()
-	copy(out, d.persisted)
-	return out
+	return bytes.Clone(d.persisted)
 }
 
-// PersistedImage is PersistedSnapshot as an image with the given
-// identity. Its leaf vector derives from the base's: only pages holding
-// lines written since the last reset are rehashed when its ID is
-// needed, since no other persisted byte can have changed. On a base
-// without leaves the image has none either, and Hash pays a cold pass
-// only if it is called.
+// PersistedImage returns the durable state as an image with the given
+// identity. It shares every page with the state the last reset restored
+// except the pages holding lines written since, which are copied where
+// their bytes changed: no other persisted byte can have. Its leaf vector
+// derives from the base's with the copied pages stale; on a base
+// without leaves it has none either, and Hash pays a cold pass only if
+// it is called.
 func (d *Device) PersistedImage(uuid [16]byte, layout string) *Image {
-	img := &Image{UUID: uuid, Layout: layout, Data: d.PersistedSnapshot()}
+	pages, copied := d.persistedPages()
+	img := &Image{UUID: uuid, Layout: layout, pages: pages}
 	if base := d.baseLeafVec(); base != nil {
-		img.leaves, img.stale = base, append([]int32(nil), d.touchedPages()...)
+		img.leaves, img.stale = base, copied
 	}
 	return img
+}
+
+// persistedPages returns the persisted state as a fresh page vector and
+// the pages it copied, ascending.
+func (d *Device) persistedPages() (pages [][]byte, copied []int32) {
+	pages = append([][]byte(nil), d.basePages...)
+	for _, p := range d.touchedPages() {
+		start := int(p) * PageSize
+		cur := d.persisted[start : start+len(pages[p])]
+		if bytes.Equal(cur, pages[p]) {
+			continue
+		}
+		pages[p] = append(make([]byte, 0, len(cur)), cur...)
+		copied = append(copied, p)
+	}
+	return pages, copied
 }
 
 // baseLeafVec returns the leaf vector of the state the last reset
@@ -672,10 +665,10 @@ func (d *Device) PersistedImage(uuid [16]byte, layout string) *Image {
 func (d *Device) baseLeafVec() []byte {
 	if d.baseLeaves == nil {
 		switch {
-		case d.lastBase == nil:
+		case d.base == nil:
 			d.baseLeaves = zeroLeaves(len(d.persisted))
-		case d.lastBase.hasLeaves():
-			d.baseLeaves = d.lastBase.exactLeaves()
+		case d.base.hasLeaves():
+			d.baseLeaves = d.base.exactLeaves()
 		}
 	}
 	return d.baseLeaves
@@ -692,25 +685,18 @@ func (d *Device) touchedPages() []int32 {
 	return d.scratchPages
 }
 
-// persistedLeaves returns the leaf vector of the current persisted state.
-func (d *Device) persistedLeaves() []byte {
-	base, pages := d.baseLeafVec(), d.touchedPages()
+// leavesOf returns the exact leaf vector of a persistedPages result.
+func (d *Device) leavesOf(pages [][]byte, copied []int32) []byte {
+	base := d.baseLeafVec()
 	switch {
 	case base == nil:
-		return coldLeaves(d.persisted)
-	case len(pages) == 0:
+		return coldLeaves(pages)
+	case len(copied) == 0:
 		return base
 	}
-	leaves := append([]byte(nil), base...)
-	rehashPages(leaves, d.persisted, pages)
+	leaves := bytes.Clone(base)
+	rehashPages(leaves, pages, copied)
 	return leaves
-}
-
-// VolatileSnapshot returns a copy of the program-visible state.
-func (d *Device) VolatileSnapshot() []byte {
-	out := d.snapBuf()
-	copy(out, d.volatile)
-	return out
 }
 
 // Close persists all outstanding writes (as an orderly munmap/close would)

@@ -32,7 +32,7 @@ func TestDeviceReuseAcrossCrashHangClean(t *testing.T) {
 	// Reference: a fresh device per run.
 	ref := NewDevice(size)
 	scriptedRun(ref)
-	want := ref.Close([16]byte{}, "").Data
+	want := ref.Close([16]byte{}, "").Bytes()
 
 	reused := NewDevice(size)
 
@@ -75,7 +75,7 @@ func TestDeviceReuseAcrossCrashHangClean(t *testing.T) {
 		t.Fatalf("unpersisted ranges after reset = %v, want none", rs)
 	}
 	scriptedRun(reused)
-	got := reused.Close([16]byte{}, "").Data
+	got := reused.Close([16]byte{}, "").Bytes()
 
 	if !bytes.Equal(got, want) {
 		t.Fatalf("reused-device image differs from fresh-device image")
@@ -95,12 +95,12 @@ func TestDeviceResetFromImageFastPath(t *testing.T) {
 	seed.Store(0, []byte("base image content"), site)
 	seed.Flush(0, 18, site)
 	seed.Fence(site)
-	base := &Image{Layout: "t", Data: seed.Close([16]byte{}, "").Data}
+	base := NewImage([16]byte{}, "t", seed.Close([16]byte{}, "").Bytes())
 
 	want := func() []byte {
 		d := NewDeviceFromImage(base)
 		scriptedRun(d)
-		return d.Close([16]byte{}, "").Data
+		return d.Close([16]byte{}, "").Bytes()
 	}()
 
 	d := NewDeviceFromImage(base)
@@ -113,7 +113,7 @@ func TestDeviceResetFromImageFastPath(t *testing.T) {
 		}()
 		d.Reset(base)
 		scriptedRun(d)
-		got := d.Close([16]byte{}, "").Data
+		got := d.Close([16]byte{}, "").Bytes()
 		if !bytes.Equal(got, want) {
 			t.Fatalf("round %d: reset-device image differs from fresh NewDeviceFromImage", i)
 		}
@@ -121,7 +121,7 @@ func TestDeviceResetFromImageFastPath(t *testing.T) {
 	}
 
 	// The base image itself must never be mutated by device runs.
-	if !bytes.Equal(base.Data[:18], []byte("base image content")) {
+	if !bytes.Equal(base.Bytes()[:18], []byte("base image content")) {
 		t.Fatal("base image mutated by device reuse")
 	}
 }

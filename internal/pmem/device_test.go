@@ -78,7 +78,7 @@ func TestNTStoreQueuesWithoutFlush(t *testing.T) {
 func TestClosePersistsEverything(t *testing.T) {
 	d := NewDevice(256)
 	d.Store(100, []byte{5, 6}, site)
-	data := d.Close([16]byte{}, "").Data
+	data := d.Close([16]byte{}, "").Bytes()
 	if data[100] != 5 || data[101] != 6 {
 		t.Fatalf("Close did not persist dirty data")
 	}
@@ -314,20 +314,20 @@ func TestPersistedNeverAheadOfVolatile(t *testing.T) {
 }
 
 func TestImageRoundTrip(t *testing.T) {
-	img := &Image{Layout: "btree", Data: []byte{1, 2, 3, 4}}
+	img := NewImage([16]byte{}, "btree", []byte{1, 2, 3, 4})
 	img.UUID[3] = 0xaa
 	b := img.Marshal()
 	got, err := UnmarshalImage(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Layout != "btree" || !bytes.Equal(got.Data, img.Data) || got.UUID != img.UUID {
+	if got.Layout != "btree" || !bytes.Equal(got.Bytes(), img.Bytes()) || got.UUID != img.UUID {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
 }
 
 func TestImageChecksumDetectsCorruption(t *testing.T) {
-	img := &Image{Layout: "x", Data: make([]byte, 128)}
+	img := NewImage([16]byte{}, "x", make([]byte, 128))
 	b := img.Marshal()
 	b[20] ^= 0xff
 	if _, err := UnmarshalImage(b); err == nil {
@@ -336,7 +336,7 @@ func TestImageChecksumDetectsCorruption(t *testing.T) {
 }
 
 func TestImageUnmarshalTruncated(t *testing.T) {
-	img := &Image{Layout: "x", Data: make([]byte, 64)}
+	img := NewImage([16]byte{}, "x", make([]byte, 64))
 	b := img.Marshal()
 	for _, n := range []int{0, 4, 10, len(b) - 1} {
 		if _, err := UnmarshalImage(b[:n]); err == nil {
@@ -346,9 +346,9 @@ func TestImageUnmarshalTruncated(t *testing.T) {
 }
 
 func TestImageHashDedup(t *testing.T) {
-	a := &Image{Layout: "x", Data: []byte{1, 2, 3}}
-	b := &Image{Layout: "x", Data: []byte{1, 2, 3}}
-	c := &Image{Layout: "x", Data: []byte{1, 2, 4}}
+	a := NewImage([16]byte{}, "x", []byte{1, 2, 3})
+	b := NewImage([16]byte{}, "x", []byte{1, 2, 3})
+	c := NewImage([16]byte{}, "x", []byte{1, 2, 4})
 	if a.Hash() != b.Hash() {
 		t.Fatalf("identical images hash differently")
 	}
@@ -362,12 +362,12 @@ func TestImageMarshalPropertyRoundTrip(t *testing.T) {
 		if len(layout) > 1000 {
 			layout = layout[:1000]
 		}
-		img := &Image{UUID: uuid, Layout: layout, Data: data}
+		img := NewImage(uuid, layout, data)
 		got, err := UnmarshalImage(img.Marshal())
 		if err != nil {
 			return false
 		}
-		return got.Layout == layout && bytes.Equal(got.Data, data) && got.UUID == uuid
+		return got.Layout == layout && bytes.Equal(got.Bytes(), data) && got.UUID == uuid
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -384,8 +384,8 @@ func pmemImageHelper(t *testing.T) *Image {
 	t.Helper()
 	d := NewDevice(256)
 	d.Store(8, []byte{0xab}, site)
-	data := d.Close([16]byte{}, "").Data
-	img := &Image{Layout: "t", Data: data}
+	data := d.Close([16]byte{}, "").Bytes()
+	img := NewImage([16]byte{}, "t", data)
 	d2 := NewDeviceFromImage(img)
 	b := make([]byte, 1)
 	d2.Load(8, b, site)

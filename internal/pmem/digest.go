@@ -41,26 +41,20 @@ func pageCount(n int) int { return (n + PageSize - 1) / PageSize }
 // pageOfLine returns the page holding cache line l.
 func pageOfLine(l int) int32 { return int32(l * LineSize / PageSize) }
 
-// pageLeaf hashes page p of data.
-func pageLeaf(data []byte, p int) [leafSize]byte {
-	start := p * PageSize
-	return sha256.Sum256(data[start:min(start+PageSize, len(data))])
-}
-
 // rehashPages overwrites the leaves of the given pages with fresh hashes
-// of data.
-func rehashPages(leaves, data []byte, pages []int32) {
-	for _, p := range pages {
-		l := pageLeaf(data, int(p))
+// of their contents.
+func rehashPages(leaves []byte, pages [][]byte, which []int32) {
+	for _, p := range which {
+		l := sha256.Sum256(pages[p])
 		copy(leaves[int(p)*leafSize:], l[:])
 	}
 }
 
-// coldLeaves computes every leaf of data.
-func coldLeaves(data []byte) []byte {
-	leaves := make([]byte, pageCount(len(data))*leafSize)
-	for p := range pageCount(len(data)) {
-		l := pageLeaf(data, p)
+// coldLeaves computes every leaf of a page vector.
+func coldLeaves(pages [][]byte) []byte {
+	leaves := make([]byte, len(pages)*leafSize)
+	for p, pg := range pages {
+		l := sha256.Sum256(pg)
 		copy(leaves[p*leafSize:], l[:])
 	}
 	return leaves
@@ -80,21 +74,21 @@ func zeroLeaves(n int) []byte {
 	return leaves
 }
 
-// rootOf computes the ID of data whose leaves equal base except on the
-// given ascending, duplicate-free pages, which are rehashed from data on
-// the fly; base itself is never written.
-func rootOf(uuid [16]byte, layout string, data, base []byte, stale []int32) [32]byte {
+// rootOf computes the ID of a page vector whose leaves equal base except
+// on the given ascending, duplicate-free pages, which are rehashed on the
+// fly; base itself is never written.
+func rootOf(uuid [16]byte, layout string, pages [][]byte, base []byte, stale []int32) [32]byte {
 	h := sha256.New()
 	// Header: tag, UUID, length-framed layout, data length.
 	hdr := make([]byte, 0, len(rootTag)+16+8+len(layout)+8)
 	hdr = append(append(hdr, rootTag...), uuid[:]...)
 	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(layout)))
-	hdr = binary.LittleEndian.AppendUint64(append(hdr, layout...), uint64(len(data)))
+	hdr = binary.LittleEndian.AppendUint64(append(hdr, layout...), uint64(pagesSize(pages)))
 	h.Write(hdr)
 	next := 0
 	for _, p := range stale {
 		h.Write(base[next*leafSize : int(p)*leafSize])
-		l := pageLeaf(data, int(p))
+		l := sha256.Sum256(pages[p])
 		h.Write(l[:])
 		next = int(p) + 1
 	}
@@ -107,7 +101,8 @@ func rootOf(uuid [16]byte, layout string, data, base []byte, stale []int32) [32]
 // ContentHash is the cold image ID of the given contents: every page is
 // hashed. It equals Hash on an Image with the same fields.
 func ContentHash(uuid [16]byte, layout string, data []byte) [32]byte {
-	return rootOf(uuid, layout, data, coldLeaves(data), nil)
+	pages := pageSlices(data)
+	return rootOf(uuid, layout, pages, coldLeaves(pages), nil)
 }
 
 // uniquePages sorts pages and drops duplicates in place.
@@ -116,10 +111,10 @@ func uniquePages(pages []int32) []int32 {
 	return slices.Compact(pages)
 }
 
-// leafTracker keeps the leaf vector of a working buffer that is updated
-// in place one cache line at a time: written lines mark their page stale,
+// leafTracker keeps the leaf vector of a working page vector that is
+// updated one cache line at a time: written lines mark their page stale,
 // and sync rehashes exactly the stale pages. The sweep cursor and the
-// Partitioner each walk one buffer through a journal with it.
+// Partitioner each walk one page vector through a journal with it.
 type leafTracker struct {
 	leaves  []byte  // private to the tracker
 	isStale []bool  // per page
@@ -150,9 +145,9 @@ func (t *leafTracker) markLines(ds []LineDelta) {
 	}
 }
 
-// sync rehashes the stale pages from buf, the tracked buffer.
-func (t *leafTracker) sync(buf []byte) {
-	rehashPages(t.leaves, buf, t.stale)
+// sync rehashes the stale pages of the tracked page vector.
+func (t *leafTracker) sync(pages [][]byte) {
+	rehashPages(t.leaves, pages, t.stale)
 	for _, p := range t.stale {
 		t.isStale[p] = false
 	}

@@ -15,7 +15,7 @@ import (
 func randomSweep(rng *rand.Rand, base, leaves []byte, nBarriers int) *Sweep {
 	size := len(base)
 	nLines := (size + LineSize - 1) / LineSize
-	sw := &Sweep{size: size, base: base, leaves: leaves}
+	sw := &Sweep{base: pageSlices(base), leaves: leaves}
 	for b := 1; b <= nBarriers; b++ {
 		cp := Checkpoint{Barrier: b, Op: 2 * b, PreOp: 2*b - 1}
 		// Mostly a few lines clustered in one region, sometimes spread
@@ -46,7 +46,7 @@ func randomSweep(rng *rand.Rand, base, leaves []byte, nBarriers int) *Sweep {
 // cold pass: over random and empty bases, pool sizes that are and are
 // not page multiples, random ascending line-delta sequences and forward,
 // backward and random access, every ID the sweep cursor, the
-// Partitioner, DeriveFrom and Seal derive equals ContentHash of the same
+// Partitioner, ImageEdit and Seal derive equals ContentHash of the same
 // bytes.
 func TestPageRootIncremental(t *testing.T) {
 	const layout = "digest"
@@ -58,8 +58,8 @@ func TestPageRootIncremental(t *testing.T) {
 			leaves := zeroLeaves(size)
 			if !empty {
 				rng.Read(base)
-				leaves = coldLeaves(base)
-			} else if !bytes.Equal(leaves, coldLeaves(base)) {
+				leaves = coldLeaves(pageSlices(base))
+			} else if !bytes.Equal(leaves, coldLeaves(pageSlices(base))) {
 				t.Fatalf("size %d: zero-page leaves differ from a cold pass over zeros", size)
 			}
 			sw := randomSweep(rng, base, leaves, 12)
@@ -74,11 +74,11 @@ func TestPageRootIncremental(t *testing.T) {
 			for b := 1; b <= sw.Barriers(); b++ {
 				pre := cur.PreFenceImage(b, layout)
 				fp, ok := part.PreFence(b)
-				if !ok || pre.Hash() != cold(pre.Data) || fp.ImageHash != pre.Hash() {
+				if !ok || pre.Hash() != cold(pre.Bytes()) || fp.ImageHash != pre.Hash() {
 					t.Fatalf("size %d empty %t: pre-fence %d root differs from the cold root", size, empty, b)
 				}
 				img := cur.Image(b, layout)
-				if img.Hash() != cold(img.Data) || part.Barrier(b).ImageHash != img.Hash() {
+				if img.Hash() != cold(img.Bytes()) || part.Barrier(b).ImageHash != img.Hash() {
 					t.Fatalf("size %d empty %t: barrier %d root differs from the cold root", size, empty, b)
 				}
 				points = append(points, point{b, true}, point{b, false})
@@ -101,25 +101,26 @@ func TestPageRootIncremental(t *testing.T) {
 					img = cur.Image(p.b, layout)
 					fp = part.Barrier(p.b).ImageHash
 				}
-				if want := cold(img.Data); img.Hash() != want || fp != want {
+				if want := cold(img.Bytes()); img.Hash() != want || fp != want {
 					t.Fatalf("size %d empty %t: point %+v root differs from the cold root after a seek", size, empty, p)
 				}
 			}
 
-			// DeriveFrom over random runs, and Seal, against the cold root.
-			src := &Image{UUID: [16]byte{7}, Layout: layout, Data: append([]byte(nil), base...)}
+			// Edits over random runs, and Seal, against the cold root.
+			src := NewImage([16]byte{7}, layout, append([]byte(nil), base...))
 			src.Seal()
 			for range 8 {
-				d := &Image{UUID: src.UUID, Layout: layout, Data: append([]byte(nil), src.Data...)}
-				var runs []Range
+				e := src.Edit()
 				for range 1 + rng.Intn(4) {
 					off := rng.Intn(size)
-					r := Range{Off: off, Len: 1 + rng.Intn(min(size-off, 2*PageSize))}
-					rng.Read(d.Data[r.Off:r.End()])
-					runs = append(runs, r)
+					run := make([]byte, 1+rng.Intn(min(size-off, 2*PageSize)))
+					rng.Read(run)
+					if _, err := e.WriteAt(run, int64(off)); err != nil {
+						t.Fatal(err)
+					}
 				}
-				d.DeriveFrom(src, runs)
-				want := ContentHash(d.UUID, layout, d.Data)
+				d := e.Image(src.UUID, layout)
+				want := ContentHash(d.UUID, layout, d.Bytes())
 				if d.Hash() != want {
 					t.Fatalf("size %d empty %t: derived root differs from the cold root", size, empty)
 				}
@@ -141,7 +142,7 @@ func TestDeviceImageRootMatchesCold(t *testing.T) {
 	const size = 5*PageSize + 200
 	check := func(what string, img *Image) {
 		t.Helper()
-		if img.Hash() != ContentHash(img.UUID, img.Layout, img.Data) {
+		if img.Hash() != ContentHash(img.UUID, img.Layout, img.Bytes()) {
 			t.Fatalf("%s: derived root differs from the cold root", what)
 		}
 	}
@@ -165,7 +166,7 @@ func TestDeviceImageRootMatchesCold(t *testing.T) {
 		cur := sw.Cursor()
 		for b := sw.Barriers(); b >= 1; b -= 3 {
 			img := cur.Image(b, "dev")
-			if img.Hash() != ContentHash([16]byte{}, "dev", img.Data) {
+			if img.Hash() != ContentHash([16]byte{}, "dev", img.Bytes()) {
 				t.Fatalf("sweep barrier %d: derived root differs from the cold root", b)
 			}
 		}
@@ -181,7 +182,7 @@ func TestDeviceImageRootMatchesCold(t *testing.T) {
 			check("empty base again", run(d, 5))
 		}
 	}
-	leafless := &Image{Layout: "dev", Data: append([]byte(nil), out.Data...)}
+	leafless := NewImage([16]byte{}, "dev", out.Bytes())
 	d.Reset(leafless)
 	check("leafless base", run(d, 6))
 	for _, base := range []*Image{nil, out, leafless} {
@@ -197,9 +198,9 @@ func TestDeviceImageRootMatchesCold(t *testing.T) {
 // TestImageIDFramesLengths pins the root's length framing: moving bytes
 // between layout and data, or growing data by zero bytes, changes the ID.
 func TestImageIDFramesLengths(t *testing.T) {
-	a := &Image{Layout: "ab", Data: []byte("c")}
-	b := &Image{Layout: "a", Data: []byte("bc")}
-	c := &Image{Layout: "ab", Data: []byte("c\x00")}
+	a := NewImage([16]byte{}, "ab", []byte("c"))
+	b := NewImage([16]byte{}, "a", []byte("bc"))
+	c := NewImage([16]byte{}, "ab", []byte("c\x00"))
 	if a.Hash() == b.Hash() || a.Hash() == c.Hash() {
 		t.Fatal("image IDs do not frame layout and data lengths")
 	}

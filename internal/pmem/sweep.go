@@ -74,9 +74,8 @@ type Checkpoint struct {
 // Sweep is the copy-on-write journal of one instrumented execution: a
 // base image plus one Checkpoint per ordering point.
 type Sweep struct {
-	size       int
-	base       []byte
-	leaves     []byte // base's leaf vector; never written
+	base       [][]byte // base state's pages, shared with the device's images
+	leaves     []byte   // base's leaf vector; never written
 	cps        []Checkpoint
 	commitVars []Range // raw registration order, for prefix slicing
 }
@@ -85,7 +84,7 @@ type Sweep struct {
 func (s *Sweep) Barriers() int { return len(s.cps) }
 
 // Size returns the device size the journal was taken over.
-func (s *Sweep) Size() int { return s.size }
+func (s *Sweep) Size() int { return pagesSize(s.base) }
 
 // Checkpoint returns the journal record for barrier b (1-based).
 func (s *Sweep) Checkpoint(b int) *Checkpoint { return &s.cps[b-1] }
@@ -105,11 +104,8 @@ func (s *Sweep) CommitVarsAt(n int) []Range {
 // records one Checkpoint. Journaling is an observer: it never changes
 // what the program reads or what a failure would persist.
 func (d *Device) BeginSweep() {
-	d.sweep = &Sweep{
-		size:   len(d.persisted),
-		base:   append([]byte(nil), d.persisted...),
-		leaves: d.persistedLeaves(),
-	}
+	pages, copied := d.persistedPages()
+	d.sweep = &Sweep{base: pages, leaves: d.leavesOf(pages, copied)}
 }
 
 // EndSweep detaches and returns the journal (nil if BeginSweep was never
@@ -218,15 +214,12 @@ func (d *Device) captureCheckpoint() *Checkpoint {
 	return cp
 }
 
-// SweepCursor materializes crash images from a Sweep by applying deltas
-// to a working copy of the base image. Sequential ascending access is
-// O(delta) per step; seeking backwards rebuilds from the base. The
-// working copy's leaf vector is tracked alongside it, so each image's ID
-// costs only the pages changed since the previous image.
-type SweepCursor struct {
+// journalWalk is the working state the sweep cursor and the Partitioner
+// walk through a journal: a copy-on-write page vector that starts as the
+// base's, its tracked leaf vector, and the count of delta lines applied.
+type journalWalk struct {
 	s      *Sweep
-	pos    int // barriers applied to cur
-	cur    []byte
+	pages  cowPages
 	leaves leafTracker
 	// appliedLines counts delta lines applied since creation (monotonic,
 	// including rebuilds) — the unit the simulated clock charges for
@@ -234,27 +227,38 @@ type SweepCursor struct {
 	appliedLines int
 }
 
+// AppliedLines returns the cumulative count of delta lines applied.
+func (w *journalWalk) AppliedLines() int { return w.appliedLines }
+
+// rewind resets the working state to the base image.
+func (w *journalWalk) rewind() {
+	w.pages.reset(w.s.base)
+	w.leaves.reset(w.s.leaves)
+}
+
+func (w *journalWalk) apply(ds []LineDelta) {
+	w.pages.applyDelta(ds)
+	w.leaves.markLines(ds)
+	w.appliedLines += len(ds)
+}
+
+// SweepCursor materializes crash images from a Sweep. Sequential
+// ascending access is O(delta) per step; seeking backwards rebuilds from
+// the base. An emitted image shares every page of the working vector,
+// and a later delta clones a page before writing it, so an image costs
+// its page references plus the pages written since the previous one, and
+// its ID only the pages changed since the previous image.
+type SweepCursor struct {
+	journalWalk
+	pos int // barriers applied
+}
+
 // Cursor returns a new materialization cursor positioned at the base
 // image (barrier 0).
 func (s *Sweep) Cursor() *SweepCursor {
-	c := &SweepCursor{s: s, cur: append([]byte(nil), s.base...)}
-	c.leaves.reset(s.leaves)
+	c := &SweepCursor{journalWalk: journalWalk{s: s}}
+	c.rewind()
 	return c
-}
-
-// AppliedLines returns the cumulative count of delta lines applied.
-func (c *SweepCursor) AppliedLines() int { return c.appliedLines }
-
-func (c *SweepCursor) apply(ds []LineDelta) {
-	applyDeltaTo(c.cur, ds)
-	c.leaves.markLines(ds)
-	c.appliedLines += len(ds)
-}
-
-func applyDeltaTo(dst []byte, ds []LineDelta) {
-	for _, ld := range ds {
-		copy(dst[ld.Line*LineSize:], ld.Data)
-	}
 }
 
 // deltaPages returns the pages a line-ordered delta writes, ascending.
@@ -268,19 +272,18 @@ func deltaPages(ds []LineDelta) []int32 {
 	return pages
 }
 
-// seek advances (or rebuilds and advances) the working copy to the state
-// after barrier b, and brings its leaf vector up to date.
+// seek advances (or rebuilds and advances) the working state to the
+// state after barrier b, and brings its leaf vector up to date.
 func (c *SweepCursor) seek(b int) {
 	if b < c.pos {
-		copy(c.cur, c.s.base)
-		c.leaves.reset(c.s.leaves)
+		c.rewind()
 		c.pos = 0
 	}
 	for c.pos < b {
 		c.apply(c.s.cps[c.pos].Delta)
 		c.pos++
 	}
-	c.leaves.sync(c.cur)
+	c.leaves.sync(c.pages.pages)
 }
 
 // Image returns the persisted state after barrier b — the crash image a
@@ -290,7 +293,7 @@ func (c *SweepCursor) Image(b int, layout string) *Image {
 	c.seek(b)
 	return &Image{
 		Layout: layout,
-		Data:   append([]byte(nil), c.cur...),
+		pages:  c.pages.snapshot(),
 		leaves: append([]byte(nil), c.leaves.leaves...),
 	}
 }
@@ -302,13 +305,15 @@ func (c *SweepCursor) Image(b int, layout string) *Image {
 // keeps the cursor moving strictly forward.
 func (c *SweepCursor) PreFenceImage(b int, layout string) *Image {
 	c.seek(b - 1)
-	out := append([]byte(nil), c.cur...)
 	pre := c.s.cps[b-1].PreDelta
-	applyDeltaTo(out, pre)
+	var out cowPages
+	out.reset(c.pages.pages)
+	c.pages.share() // the image holds the vector's pages now
+	out.applyDelta(pre)
 	c.appliedLines += len(pre)
 	return &Image{
 		Layout: layout,
-		Data:   out,
+		pages:  out.pages,
 		leaves: append([]byte(nil), c.leaves.leaves...),
 		stale:  deltaPages(pre),
 	}

@@ -142,7 +142,7 @@ func TestSweepJournalMatchesInjectedCrashes(t *testing.T) {
 			// Pre-fence crash first (keeps the cursor strictly forward).
 			if cp.PreOp >= 1 {
 				rd := replay(OpFailure{N: cp.PreOp})
-				if got, want := cur.PreFenceImage(b, "").Data, rd.PersistedSnapshot(); !bytes.Equal(got, want) {
+				if got, want := cur.PreFenceImage(b, "").Bytes(), rd.PersistedSnapshot(); !bytes.Equal(got, want) {
 					t.Fatalf("seed %d barrier %d: pre-fence image differs", seed, cp.Barrier)
 				}
 				wantLost := rd.UnpersistedRanges()
@@ -154,7 +154,7 @@ func TestSweepJournalMatchesInjectedCrashes(t *testing.T) {
 				}
 			}
 			rd := replay(BarrierFailure{N: cp.Barrier})
-			if got, want := cur.Image(b, "").Data, rd.PersistedSnapshot(); !bytes.Equal(got, want) {
+			if got, want := cur.Image(b, "").Bytes(), rd.PersistedSnapshot(); !bytes.Equal(got, want) {
 				t.Fatalf("seed %d barrier %d: barrier image differs", seed, cp.Barrier)
 			}
 			if !rangesEq(cp.Lost, rd.UnpersistedRanges()) {
@@ -166,8 +166,8 @@ func TestSweepJournalMatchesInjectedCrashes(t *testing.T) {
 		}
 		// Backward seek must rebuild correctly from the base.
 		mid := (1 + sw.Barriers()) / 2
-		fwd := sw.Cursor().Image(mid, "").Data
-		if !bytes.Equal(cur.Image(mid, "").Data, fwd) {
+		fwd := sw.Cursor().Image(mid, "").Bytes()
+		if !bytes.Equal(cur.Image(mid, "").Bytes(), fwd) {
 			t.Fatalf("seed %d: backward seek to %d diverges", seed, mid)
 		}
 	}

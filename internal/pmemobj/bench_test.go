@@ -84,7 +84,7 @@ func BenchmarkOpenWithRecovery(b *testing.B) {
 		dev.SetInjector(pmem.BarrierFailure{N: dev.Barriers() + 1})
 		p.Drain()
 	}()
-	img := &pmem.Image{Layout: "bench", Data: dev.PersistedSnapshot()}
+	img := pmem.NewImage([16]byte{}, "bench", dev.PersistedSnapshot())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

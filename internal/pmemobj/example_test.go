@@ -63,7 +63,7 @@ func ExampleOpen_recovery() {
 		pool.Drain() // power failure: in-place update persisted, log valid
 	}()
 
-	img := &pmem.Image{Layout: "example", Data: dev.PersistedSnapshot()}
+	img := pmem.NewImage([16]byte{}, "example", dev.PersistedSnapshot())
 	pool2, _ := pmemobj.Open(pmem.NewDeviceFromImage(img), "example")
 	fmt.Println(pool2.Recovered(), pool2.U64(root, 0))
 	// Output: true 1

@@ -172,7 +172,7 @@ func TestListCrashSweep(t *testing.T) {
 			}
 			return false
 		}()
-		img := &pmem.Image{Layout: "test", Data: dev.PersistedSnapshot()}
+		img := pmem.NewImage([16]byte{}, "test", dev.PersistedSnapshot())
 		p2, err := Open(pmem.NewDeviceFromImage(img), "test")
 		if err != nil {
 			t.Fatalf("barrier %d: %v", barrier, err)

@@ -198,7 +198,7 @@ func TestTxCommitDurable(t *testing.T) {
 	}
 	// Commit must have persisted the store: check the *persisted* state.
 	snap := p.Device().PersistedSnapshot()
-	img := &pmem.Image{Layout: "test", Data: snap}
+	img := pmem.NewImage([16]byte{}, "test", snap)
 	p2, err := Open(pmem.NewDeviceFromImage(img), "test")
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +267,7 @@ func TestTxCrashBeforeCommitRecovers(t *testing.T) {
 		t.Fatalf("no crash")
 	}
 
-	img := &pmem.Image{Layout: "test", Data: dev.PersistedSnapshot()}
+	img := pmem.NewImage([16]byte{}, "test", dev.PersistedSnapshot())
 	p2, err := Open(pmem.NewDeviceFromImage(img), "test")
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +295,7 @@ func TestTxCrashAfterCommitKeepsNewValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := &pmem.Image{Layout: "test", Data: p.dev.PersistedSnapshot()}
+	img := pmem.NewImage([16]byte{}, "test", p.dev.PersistedSnapshot())
 	p2, err := Open(pmem.NewDeviceFromImage(img), "test")
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +346,7 @@ func TestTxAllocCrashRecoveryFreesObject(t *testing.T) {
 		p.U64(root, 0) // any PM op fires the crash
 		t.Fatalf("unreachable")
 	}()
-	img := &pmem.Image{Layout: "test", Data: dev.PersistedSnapshot()}
+	img := pmem.NewImage([16]byte{}, "test", dev.PersistedSnapshot())
 	p2, err := Open(pmem.NewDeviceFromImage(img), "test")
 	if err != nil {
 		t.Fatal(err)
@@ -605,7 +605,7 @@ func TestTxDurabilityUnderCrashSweepProperty(t *testing.T) {
 					panic(r)
 				}
 				crashed = true
-				img = &pmem.Image{Layout: "t", Data: dev.PersistedSnapshot()}
+				img = pmem.NewImage([16]byte{}, "t", dev.PersistedSnapshot())
 			}
 		}()
 		err = p.Tx(func() error {
@@ -618,7 +618,7 @@ func TestTxDurabilityUnderCrashSweepProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return false, &pmem.Image{Layout: "t", Data: dev.PersistedSnapshot()}
+		return false, pmem.NewImage([16]byte{}, "t", dev.PersistedSnapshot())
 	}
 	sawOld, sawNew := false, false
 	for fb := 1; fb < 20; fb++ {
@@ -689,7 +689,7 @@ func TestAllocatorCrashSweepProperty(t *testing.T) {
 			if !crashed {
 				break // op index beyond the sequence; later ops won't crash either
 			}
-			img := &pmem.Image{Layout: "t", Data: dev.PersistedSnapshot()}
+			img := pmem.NewImage([16]byte{}, "t", dev.PersistedSnapshot())
 			if _, err := Open(pmem.NewDeviceFromImage(img), "t"); err != nil {
 				t.Fatalf("seed %d op %d: heap corrupt after crash: %v", seed, op, err)
 			}

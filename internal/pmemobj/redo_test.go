@@ -29,7 +29,7 @@ func TestRedoLogCommitApplies(t *testing.T) {
 		t.Fatalf("commit did not apply: %d %d", p.U64(root, 0), p.U64(root, 8))
 	}
 	// And durably: check the persisted state.
-	img := &pmem.Image{Layout: "test", Data: p.Device().PersistedSnapshot()}
+	img := pmem.NewImage([16]byte{}, "test", p.Device().PersistedSnapshot())
 	p2, err := Open(pmem.NewDeviceFromImage(img), "test")
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestRedoLogCrashSweepAtomicity(t *testing.T) {
 			return false
 		}()
 
-		img := &pmem.Image{Layout: "t", Data: dev.PersistedSnapshot()}
+		img := pmem.NewImage([16]byte{}, "t", dev.PersistedSnapshot())
 		p2, err := Open(pmem.NewDeviceFromImage(img), "t")
 		if err != nil {
 			t.Fatalf("barrier %d: reopen: %v", barrier, err)
@@ -150,7 +150,7 @@ func TestRedoLogRecoveryIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Commit()
-	img := &pmem.Image{Layout: "test", Data: p.Device().PersistedSnapshot()}
+	img := pmem.NewImage([16]byte{}, "test", p.Device().PersistedSnapshot())
 	for i := 0; i < 2; i++ {
 		p2, err := Open(pmem.NewDeviceFromImage(img), "test")
 		if err != nil {

@@ -45,12 +45,12 @@ func tryRunProgram(name string, img *pmem.Image, input []byte, bg *bugs.Set, inj
 	defer func() {
 		if r := recover(); r != nil {
 			if c, ok := r.(pmem.Crash); ok {
-				out = &pmem.Image{Layout: name, Data: dev.PersistedSnapshot()}
+				out = pmem.NewImage([16]byte{}, name, dev.PersistedSnapshot())
 				err = c
 				return
 			}
 			err = fmt.Errorf("panic: %v", r)
-			out = &pmem.Image{Layout: name, Data: dev.PersistedSnapshot()}
+			out = pmem.NewImage([16]byte{}, name, dev.PersistedSnapshot())
 		}
 	}()
 	if err := prog.Setup(env); err != nil {
