@@ -807,6 +807,7 @@ func (f *Fuzzer) runMutated(parent *fuzz.Entry, input []byte, img *imageRef) {
 // observe applies branch and PM-path feedback (Algorithm 2) and corpus
 // growth (Figure 11 steps ②–⑤).
 func (f *Fuzzer) observe(parent *fuzz.Entry, tc executor.TestCase, res *executor.Result) {
+	t0 := f.shard.Begin()
 	newBranchSlot, newBranchBucket := f.branchVirgin.Merge(res.Tracer.BranchMap())
 	newPMSlot, newPMBucket := f.pmVirgin.Merge(res.Tracer.PMMap())
 	if res.Tracer.PMOps() > 0 {
@@ -815,6 +816,7 @@ func (f *Fuzzer) observe(parent *fuzz.Entry, tc executor.TestCase, res *executor
 	if res.SetupPM != nil && f.recVirgin != nil {
 		f.recVirgin.Merge(res.SetupPM)
 	}
+	f.shard.End(obs.StageMerge, t0)
 
 	if res.Faulted() {
 		f.recordFault(parent, tc, res)

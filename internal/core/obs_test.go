@@ -261,3 +261,84 @@ func TestSingleStageTraceHasNoStageFields(t *testing.T) {
 		t.Fatalf("single-stage trace leaks stage fields")
 	}
 }
+
+// runMergeSession runs a serial afl++-sysopt btree session. Image
+// generation is off, so every execution goes through the feedback step.
+// The session always writes a JSONL trace; full adds every other sink
+// (status ticker, stats files). It returns the result, the final
+// registry snapshot and the trace bytes.
+func runMergeSession(t *testing.T, full bool) (*Result, obs.Snapshot, []byte) {
+	t.Helper()
+	cfg, err := DefaultConfig("btree", AFLSysOpt, 20_000_000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ocfg := obs.Config{
+		Workload: "btree", FuzzConfig: string(AFLSysOpt), Workers: 1,
+		Seed: 42, BudgetNS: cfg.BudgetNS, TracePath: filepath.Join(dir, "trace.jsonl"),
+	}
+	if full {
+		ocfg.StatusEvery, ocfg.StatusW = 5_000_000, io.Discard
+		ocfg.OutDir = filepath.Join(dir, "out")
+	}
+	sess, err := obs.NewSession(ocfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Start(); err != nil {
+		t.Fatal(err)
+	}
+	f.SetTelemetry(sess)
+	res := f.Run()
+	if err := sess.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := os.ReadFile(ocfg.TracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, sess.M.Snapshot(), tr
+}
+
+// TestTelemetryMergeStagePerExecution checks that the per-execution
+// coverage merge is accounted under the merge stage — one op per
+// execution in a serial session without image generation — and that the
+// timing stays read-only: the session digest matches an untelemetered
+// run and the trace is byte-identical with every sink on or only the
+// trace sink.
+func TestTelemetryMergeStagePerExecution(t *testing.T) {
+	res, snap, full := runMergeSession(t, true)
+	if res.Execs == 0 {
+		t.Fatal("session ran no executions")
+	}
+	if snap.Execs != int64(res.Execs) {
+		t.Errorf("registry execs = %d, result execs = %d", snap.Execs, res.Execs)
+	}
+	if got := snap.Stages[obs.StageMerge].Ops; got != snap.Execs {
+		t.Errorf("merge stage ops = %d, execs = %d", got, snap.Execs)
+	}
+	if snap.Stages[obs.StageMerge].NS <= 0 {
+		t.Errorf("merge stage recorded no time")
+	}
+	traceOnly, _, only := runMergeSession(t, false)
+	if !bytes.Equal(full, only) {
+		t.Errorf("trace differs between full telemetry and trace-only sessions")
+	}
+	cfg, err := DefaultConfig("btree", AFLSysOpt, 20_000_000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := sessionDigest(f.Run())
+	if sessionDigest(res) != off || sessionDigest(traceOnly) != off {
+		t.Errorf("session digest changed with telemetry attached")
+	}
+}

@@ -264,12 +264,14 @@ func (w *worker) execCase(parent *fuzz.Entry, input []byte, img *imageRef) *exec
 		RecordSetupPM: w.trackRecovery && parent != nil && parent.IsCrashImage && tc.Image != nil,
 	})
 	o := &execOutcome{input: input, inImage: tc.Image, execs: 1, setupPM: res.SetupPM}
+	t0 := w.shard.Begin()
 	newBSlot, newBBucket := w.branchVirgin.Merge(res.Tracer.BranchMap())
 	newPSlot, newPBucket := w.pmVirgin.Merge(res.Tracer.PMMap())
 	if res.Tracer.PMOps() > 0 {
 		o.pmSig = instr.Signature(res.Tracer.PMMap())
 		o.hasPMSig = true
 	}
+	w.shard.End(obs.StageMerge, t0)
 	if newBSlot || newBBucket || newPSlot || newPBucket {
 		// Locally new: ship the maps for the authoritative merge. The
 		// tracer is per-execution, so the maps can be handed off without

@@ -1,6 +1,8 @@
 package executor
 
 import (
+	"math/rand"
+
 	"pmfuzz/internal/instr"
 	"pmfuzz/internal/pmem"
 	"pmfuzz/internal/trace"
@@ -10,10 +12,10 @@ import (
 // forkserver analog. A fuzzing worker that owns an Arena and passes it in
 // Options runs every execution on ONE resident device (persisted and
 // volatile buffers, line-state arrays, barrier-op slice) reset in place
-// per run, and draws coverage tracers and trace recorders from free
-// lists. Output and crash images need no pool: they share every page the
-// run did not change with its start image, so producing one allocates
-// only the changed pages.
+// per run, draws coverage tracers and trace recorders from free lists,
+// and restarts one workload RNG per run. Output and crash images need no
+// pool: they share every page the run did not change with its start
+// image, so producing one allocates only the changed pages.
 //
 // An Arena is not safe for concurrent use: it belongs to exactly one
 // worker goroutine, like an AFL++ instance owns its target process.
@@ -29,6 +31,8 @@ type Arena struct {
 	dev     *pmem.Device
 	tracers []*instr.Tracer
 	recs    []*trace.Recorder
+	src     lazySource
+	rand    *rand.Rand
 }
 
 // Pool caps keep a pathological caller from growing an arena without
@@ -70,6 +74,16 @@ func (a *Arena) tracer() *instr.Tracer {
 		return t
 	}
 	return instr.NewTracer()
+}
+
+// rng returns the arena's workload RNG restarted at seed. Its source
+// seeds on first draw and reuses its generator across runs.
+func (a *Arena) rng(seed int64) *rand.Rand {
+	if a.rand == nil {
+		a.rand = rand.New(&a.src)
+	}
+	a.rand.Seed(seed)
+	return a.rand
 }
 
 // recorder pops a reset trace recorder from the free list or allocates

@@ -215,11 +215,11 @@ func run(tc TestCase, opts Options, sh *runExtras) (*Result, *runExtras) {
 		dev.BeginSweep()
 	}
 
-	env := &workloads.Env{
-		Dev:  dev,
-		T:    res.Tracer,
-		RNG:  rand.New(rand.NewSource(tc.Seed)),
-		Bugs: tc.Bugs,
+	env := &workloads.Env{Dev: dev, T: res.Tracer, Bugs: tc.Bugs}
+	if opts.Arena != nil {
+		env.RNG = opts.Arena.rng(tc.Seed)
+	} else {
+		env.RNG = rand.New(&lazySource{seed: tc.Seed})
 	}
 
 	maxCmds := opts.MaxCommands
@@ -260,8 +260,7 @@ func run(tc TestCase, opts Options, sh *runExtras) (*Result, *runExtras) {
 			return false
 		}
 		if opts.RecordSetupPM {
-			m := *res.Tracer.PMMap()
-			res.SetupPM = &m
+			res.SetupPM = res.Tracer.PMMap().Clone()
 		}
 		// Iterate input lines in place instead of materializing the
 		// [][]byte bytes.Split allocates per run; the sequence is
@@ -309,6 +308,37 @@ func run(tc TestCase, opts Options, sh *runExtras) (*Result, *runExtras) {
 	}
 	return res, sh
 }
+
+// lazySource is a rand.Source64 that seeds its generator on the first
+// draw. Seeding a math/rand source allocates about 5 KB and runs a
+// 607-word loop, which most workloads would pay on every execution
+// without ever drawing. It implements Source64 so rand.Rand keeps its
+// Uint64 path, and the draw sequence is the eager source's. A reseeded
+// lazySource reuses its generator's memory.
+type lazySource struct {
+	seed   int64
+	seeded bool
+	src    rand.Source64
+}
+
+func (s *lazySource) get() rand.Source64 {
+	if !s.seeded {
+		if s.src == nil {
+			// rand.NewSource returns a *rngSource, which implements Source64.
+			s.src = rand.NewSource(s.seed).(rand.Source64)
+		} else {
+			s.src.Seed(s.seed)
+		}
+		s.seeded = true
+	}
+	return s.src
+}
+
+func (s *lazySource) Int63() int64   { return s.get().Int63() }
+func (s *lazySource) Uint64() uint64 { return s.get().Uint64() }
+
+// Seed restarts the sequence from seed, again seeding on first draw.
+func (s *lazySource) Seed(seed int64) { s.seed, s.seeded = seed, false }
 
 // Recover opens the test case's image and drives only the program's
 // setup path — pool validation, transaction (undo/redo) recovery, and

@@ -1,9 +1,11 @@
 package executor
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
+	"pmfuzz/internal/instr"
 	"pmfuzz/internal/pmem"
 	"pmfuzz/internal/workloads"
 	"pmfuzz/internal/workloads/bugs"
@@ -228,17 +230,87 @@ func TestRecordSetupPM(t *testing.T) {
 		t.Fatalf("SetupPM not recorded")
 	}
 	setupOps, totalOps := 0, 0
-	for _, c := range res.SetupPM {
-		setupOps += int(c)
-	}
-	for _, c := range res.Tracer.PMMap() {
-		totalOps += int(c)
+	for i := uint32(0); i < instr.MapSize; i++ {
+		setupOps += int(res.SetupPM.Counter(i))
+		totalOps += int(res.Tracer.PMMap().Counter(i))
 	}
 	if setupOps == 0 {
 		t.Fatalf("setup phase recorded no PM activity (pool open must touch PM)")
 	}
 	if setupOps > totalOps {
 		t.Fatalf("setup map (%d ops) exceeds the full run map (%d ops)", setupOps, totalOps)
+	}
+}
+
+// mapView is everything observable of a coverage map: its counters slot
+// by slot, its populated-slot count, its signature, and the virgin bytes
+// a merge of it into an empty virgin leaves.
+type mapView struct {
+	counts [instr.MapSize]uint8
+	slots  int
+	sig    uint64
+	merged []byte
+}
+
+func viewOf(m *instr.Map) mapView {
+	v := mapView{slots: m.CountNonZero(), sig: instr.Signature(m)}
+	for i := range v.counts {
+		v.counts[i] = m.Counter(uint32(i))
+	}
+	vg := instr.NewVirgin()
+	vg.Merge(m)
+	v.merged = vg.Bytes()
+	return v
+}
+
+func sameView(a, b mapView) bool {
+	return a.counts == b.counts && a.slots == b.slots && a.sig == b.sig && bytes.Equal(a.merged, b.merged)
+}
+
+// TestSetupPMIndependentOfTracer checks that Result.SetupPM is a deep
+// copy: the commands' later PM operations, recycling the arena tracer
+// it was copied from, and the next arena run on that tracer all leave it
+// equal to the setup map of a fresh, arena-free run.
+func TestSetupPMIndependentOfTracer(t *testing.T) {
+	base := Run(TestCase{Workload: "btree", Input: []byte("i 1 1\ni 2 2\n"), Seed: 1}, Options{})
+	if base.Image == nil {
+		t.Fatal("no image from seed run")
+	}
+	tc := TestCase{Workload: "btree", Input: []byte("i 3 3\ni 4 4\nr 1\ng 2\n"), Image: base.Image, Seed: 1}
+	ref := Run(tc, Options{RecordSetupPM: true})
+	if ref.SetupPM == nil || ref.SetupPM.CountNonZero() == 0 {
+		t.Fatal("reference run recorded no setup PM map")
+	}
+	want := viewOf(ref.SetupPM)
+
+	arena := NewArena()
+	// Warm the arena so the recorded run draws a recycled tracer.
+	arena.Recycle(Run(tc, Options{Arena: arena}))
+	res := Run(tc, Options{Arena: arena, RecordSetupPM: true})
+	if res.SetupPM == nil {
+		t.Fatal("SetupPM not recorded")
+	}
+	if res.Tracer.PMMap().CountNonZero() <= res.SetupPM.CountNonZero() {
+		t.Fatalf("commands added no PM slots after setup (%d vs %d)",
+			res.Tracer.PMMap().CountNonZero(), res.SetupPM.CountNonZero())
+	}
+	if !sameView(viewOf(res.SetupPM), want) {
+		t.Fatal("SetupPM diverged from the reference after the commands' PM ops")
+	}
+	tracer := res.Tracer
+	setup := res.SetupPM
+	arena.Recycle(res)
+	if !sameView(viewOf(setup), want) {
+		t.Fatal("SetupPM changed when its tracer was recycled")
+	}
+	// A different program's setup hits different PM slots, so a hit
+	// list shared with the tracer would be overwritten here.
+	next := Run(TestCase{Workload: "rbtree", Input: []byte("i 9 9\ni 8 8\n"), Seed: 1}, Options{Arena: arena})
+	if next.Tracer != tracer {
+		t.Fatal("next arena run did not reuse the recycled tracer")
+	}
+	if !sameView(viewOf(setup), want) {
+		t.Fatal("SetupPM changed when the next arena run reused its tracer")
 	}
 }
 

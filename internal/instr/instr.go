@@ -15,6 +15,7 @@ package instr
 import (
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -160,59 +161,84 @@ var siteCache = func() *siteCacheT {
 
 // Map is a fixed-size counter map in the style of AFL's shared-memory
 // bitmap. Counters saturate at 255.
-type Map [MapSize]uint8
+//
+// Beside the counters, a Map lists the slots hit since the last Reset,
+// so resetting, merging, signing and counting cost O(slots hit) rather
+// than O(MapSize): an execution touches a few dozen of the 65,536 slots.
+// The zero value is an empty map. A Map has one owner at a time —
+// Signature reorders the hit list in place — and copying a Map by value
+// aliases its hit list; use Clone for an independent copy.
+type Map struct {
+	counts [MapSize]uint8
+	// hits holds each slot with a non-zero counter exactly once, in
+	// first-hit order until Signature sorts it.
+	hits []uint16
+}
 
 // Hit increments the counter at loc, saturating at 255.
 func (m *Map) Hit(loc uint32) {
-	i := loc & (MapSize - 1)
-	if m[i] != 0xff {
-		m[i]++
+	i := uint16(loc) // folds loc into the map: MapSize is 1<<16
+	switch c := m.counts[i]; c {
+	case 0:
+		m.counts[i] = 1
+		m.hits = append(m.hits, i)
+	case 0xff:
+	default:
+		m.counts[i] = c + 1
 	}
 }
 
-// Reset zeroes the map in place.
+// Counter returns the raw counter at loc, folded into the map range
+// like Hit.
+func (m *Map) Counter(loc uint32) uint8 { return m.counts[uint16(loc)] }
+
+// Reset zeroes the map in place, touching only the slots hit since the
+// previous Reset.
 func (m *Map) Reset() {
-	for i := range m {
-		m[i] = 0
+	for _, i := range m.hits {
+		m.counts[i] = 0
 	}
+	m.hits = m.hits[:0]
 }
 
 // CountNonZero returns the number of populated slots.
-func (m *Map) CountNonZero() int {
-	n := 0
-	for _, v := range m {
-		if v != 0 {
-			n++
+func (m *Map) CountNonZero() int { return len(m.hits) }
+
+// Clone returns a deep copy of m that shares no state with it.
+func (m *Map) Clone() *Map {
+	c := &Map{counts: m.counts}
+	c.hits = append([]uint16(nil), m.hits...)
+	return c
+}
+
+// classTable maps every raw counter value to its AFL bucket, so that
+// Classify is one load in the merge and signature loops.
+var classTable = func() (t [256]uint8) {
+	for v := 1; v < 256; v++ {
+		switch {
+		case v <= 2:
+			t[v] = uint8(v)
+		case v == 3:
+			t[v] = 4
+		case v <= 7:
+			t[v] = 8
+		case v <= 15:
+			t[v] = 16
+		case v <= 31:
+			t[v] = 32
+		case v <= 127:
+			t[v] = 64
+		default:
+			t[v] = 128
 		}
 	}
-	return n
-}
+	return t
+}()
 
 // Classify buckets a raw counter the way AFL does, so that "significantly
 // different counter values" (Algorithm 2's diffCounter) can be detected by
 // comparing bucket bytes rather than exact counts.
-func Classify(v uint8) uint8 {
-	switch {
-	case v == 0:
-		return 0
-	case v == 1:
-		return 1
-	case v == 2:
-		return 2
-	case v == 3:
-		return 4
-	case v <= 7:
-		return 8
-	case v <= 15:
-		return 16
-	case v <= 31:
-		return 32
-	case v <= 127:
-		return 64
-	default:
-		return 128
-	}
-}
+func Classify(v uint8) uint8 { return classTable[v] }
 
 // Tracer accumulates both coverage signals for one program execution: the
 // branch edge map (AFL-style) and the PM counter-map (Algorithm 1).
@@ -227,9 +253,16 @@ type Tracer struct {
 	pmOps     int
 }
 
+// hitListCap pre-sizes a new tracer's hit lists so that a typical
+// execution (about 4 branch and 41–48 PM slots) never grows them.
+const hitListCap = 64
+
 // NewTracer returns a Tracer ready for one execution.
 func NewTracer() *Tracer {
-	return &Tracer{}
+	t := &Tracer{}
+	t.branch.hits = make([]uint16, 0, hitListCap)
+	t.pm.hits = make([]uint16, 0, hitListCap)
+	return t
 }
 
 // Branch records that execution reached branch site id. Transitions
@@ -291,11 +324,8 @@ func NewVirgin() *Virgin { return &Virgin{} }
 // hasNewBucket is true if a previously seen slot reached a new counter
 // bucket.
 func (v *Virgin) Merge(m *Map) (hasNewSlot, hasNewBucket bool) {
-	for i, raw := range m {
-		if raw == 0 {
-			continue
-		}
-		c := Classify(raw)
+	for _, i := range m.hits {
+		c := Classify(m.counts[i])
 		old := v.seen[i]
 		if old == 0 {
 			hasNewSlot = true
@@ -318,7 +348,10 @@ func (v *Virgin) Merge(m *Map) (hasNewSlot, hasNewBucket bool) {
 // Virgin values are not safe for concurrent mutation; the parallel
 // engine guarantees exclusive access by only calling MergeFrom while the
 // owning worker is parked between a result hand-off and its next lease.
-// Classify and Signature are pure functions and safe from any goroutine.
+// Classify is a pure function and safe from any goroutine. Signature is
+// not: it sorts the map's hit list in place, so it runs only on the
+// goroutine that currently owns the Map (the executing worker, before
+// the map is shipped to the coordinator).
 func (v *Virgin) MergeFrom(o *Virgin) (hasNewSlot, hasNewBucket bool) {
 	for i, b := range o.seen {
 		if b == 0 {
@@ -333,40 +366,6 @@ func (v *Virgin) MergeFrom(o *Virgin) (hasNewSlot, hasNewBucket bool) {
 		v.seen[i] = old | b
 	}
 	return hasNewSlot, hasNewBucket
-}
-
-// Peek reports what Merge would return without mutating the virgin state.
-func (v *Virgin) Peek(m *Map) (hasNewSlot, hasNewBucket bool) {
-	for i, raw := range m {
-		if raw == 0 {
-			continue
-		}
-		c := Classify(raw)
-		old := v.seen[i]
-		if old == 0 {
-			hasNewSlot = true
-			if hasNewBucket {
-				break
-			}
-		} else if old&c == 0 {
-			hasNewBucket = true
-			if hasNewSlot {
-				break
-			}
-		}
-	}
-	return hasNewSlot, hasNewBucket
-}
-
-// CoveredSlots returns the number of distinct slots ever observed.
-func (v *Virgin) CoveredSlots() int {
-	n := 0
-	for _, b := range v.seen {
-		if b != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // Bytes returns a copy of the virgin's accumulated slot bytes, for
@@ -390,20 +389,23 @@ func (v *Virgin) SetBytes(b []byte) {
 // executions share a signature exactly when they hit the same slots with
 // the same counter buckets — the practical identity test for the paper's
 // PM path π_PM (a sequence of PM nodes): counting distinct signatures
-// counts distinct covered PM paths.
+// counts distinct covered PM paths. It sorts the map's hit list in
+// place, so it costs O(k log k) for k slots hit.
 func Signature(m *Map) uint64 {
-	h := fnv.New64a()
-	var buf [6]byte
-	for i, v := range m {
-		if v == 0 {
-			continue
-		}
-		buf[0] = byte(i)
-		buf[1] = byte(i >> 8)
-		buf[2] = Classify(v)
-		_, _ = h.Write(buf[:3])
+	// Inline FNV-1a over (slot lo, slot hi, bucket) triples in slot
+	// order: the same stream hash/fnv's New64a sees from a dense scan.
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	slices.Sort(m.hits)
+	h := uint64(offset64)
+	for _, i := range m.hits {
+		h = (h ^ uint64(byte(i))) * prime64
+		h = (h ^ uint64(i>>8)) * prime64
+		h = (h ^ uint64(Classify(m.counts[i]))) * prime64
 	}
-	return h.Sum64()
+	return h
 }
 
 // CoveredStates counts distinct (slot, counter-bucket) pairs observed —

@@ -1,12 +1,107 @@
 package instr
 
 import (
+	"hash/fnv"
 	"math/rand"
 	"runtime"
 	"strconv"
 	"testing"
 	"testing/quick"
 )
+
+// Dense reference implementations: the byte-by-byte scans of all
+// MapSize counters that the sparse hit-list code replaced. They read only
+// the counter array, never the hit list, so they check it independently.
+
+// denseClassify is the AFL bucket switch Classify's table encodes.
+func denseClassify(v uint8) uint8 {
+	switch {
+	case v == 0:
+		return 0
+	case v == 1:
+		return 1
+	case v == 2:
+		return 2
+	case v == 3:
+		return 4
+	case v <= 7:
+		return 8
+	case v <= 15:
+		return 16
+	case v <= 31:
+		return 32
+	case v <= 127:
+		return 64
+	default:
+		return 128
+	}
+}
+
+// denseMerge is the reference Virgin.Merge.
+func denseMerge(v *Virgin, counts *[MapSize]uint8) (hasNewSlot, hasNewBucket bool) {
+	for i, raw := range counts {
+		if raw == 0 {
+			continue
+		}
+		c := denseClassify(raw)
+		old := v.seen[i]
+		if old == 0 {
+			hasNewSlot = true
+		} else if old&c == 0 {
+			hasNewBucket = true
+		}
+		v.seen[i] = old | c
+	}
+	return hasNewSlot, hasNewBucket
+}
+
+// denseSignature is the reference Signature, hashing through hash/fnv.
+func denseSignature(counts *[MapSize]uint8) uint64 {
+	h := fnv.New64a()
+	var buf [3]byte
+	for i, v := range counts {
+		if v == 0 {
+			continue
+		}
+		buf[0] = byte(i)
+		buf[1] = byte(i >> 8)
+		buf[2] = denseClassify(v)
+		_, _ = h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// peek reports what Merge would return without mutating the virgin state.
+func peek(v *Virgin, m *Map) (hasNewSlot, hasNewBucket bool) {
+	for i, raw := range m.counts {
+		if raw == 0 {
+			continue
+		}
+		c := denseClassify(raw)
+		old := v.seen[i]
+		if old == 0 {
+			hasNewSlot = true
+		} else if old&c == 0 {
+			hasNewBucket = true
+		}
+	}
+	return hasNewSlot, hasNewBucket
+}
+
+// coveredSlots returns the number of distinct slots v has ever observed.
+func coveredSlots(v *Virgin) int {
+	n := 0
+	for _, b := range v.seen {
+		if b != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// sameCounts reports whether two maps hold identical counters in every
+// slot (hit-list order is not part of a map's value).
+func sameCounts(a, b *Map) bool { return a.counts == b.counts }
 
 func TestIDStable(t *testing.T) {
 	a := ID("btree.insert")
@@ -42,15 +137,15 @@ func TestMapHitSaturates(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		m.Hit(42)
 	}
-	if m[42] != 255 {
-		t.Fatalf("counter = %d, want saturation at 255", m[42])
+	if m.counts[42] != 255 {
+		t.Fatalf("counter = %d, want saturation at 255", m.counts[42])
 	}
 }
 
 func TestMapHitFolds(t *testing.T) {
 	var m Map
 	m.Hit(MapSize + 7)
-	if m[7] != 1 {
+	if m.counts[7] != 1 {
 		t.Fatalf("out-of-range loc not folded into map")
 	}
 }
@@ -82,6 +177,11 @@ func TestClassifyBuckets(t *testing.T) {
 			t.Errorf("Classify(%d) = %d, want %d", c.in, got, c.want)
 		}
 	}
+	for v := 0; v < 256; v++ {
+		if got, want := Classify(uint8(v)), denseClassify(uint8(v)); got != want {
+			t.Errorf("Classify(%d) = %d, reference %d", v, got, want)
+		}
+	}
 }
 
 func TestTracerAlgorithm1Encoding(t *testing.T) {
@@ -91,11 +191,11 @@ func TestTracerAlgorithm1Encoding(t *testing.T) {
 	tr.PMOp(SiteID(0x20))
 	m := tr.PMMap()
 	// First op: loc = 0x10 ^ 0 = 0x10. Second: loc = 0x20 ^ (0x10>>1) = 0x28.
-	if m[0x10] != 1 {
-		t.Fatalf("first transition slot = %d, want 1", m[0x10])
+	if m.counts[0x10] != 1 {
+		t.Fatalf("first transition slot = %d, want 1", m.counts[0x10])
 	}
-	if m[0x28] != 1 {
-		t.Fatalf("second transition slot = %d, want 1", m[0x28])
+	if m.counts[0x28] != 1 {
+		t.Fatalf("second transition slot = %d, want 1", m.counts[0x28])
 	}
 	if tr.PMOps() != 2 {
 		t.Fatalf("PMOps = %d, want 2", tr.PMOps())
@@ -112,14 +212,7 @@ func TestTracerDirectionality(t *testing.T) {
 	ba.PMOp(SiteID(0x200))
 	ba.PMOp(SiteID(0x100))
 
-	diff := false
-	for i := range ab.PMMap() {
-		if ab.PMMap()[i] != ba.PMMap()[i] {
-			diff = true
-			break
-		}
-	}
-	if !diff {
+	if sameCounts(ab.PMMap(), ba.PMMap()) {
 		t.Fatalf("A->B and B->A produced identical PM maps")
 	}
 }
@@ -135,7 +228,7 @@ func TestTracerDeterministic(t *testing.T) {
 		return tr
 	}
 	a, b := run(), run()
-	if *a.PMMap() != *b.PMMap() || *a.BranchMap() != *b.BranchMap() {
+	if !sameCounts(a.PMMap(), b.PMMap()) || !sameCounts(a.BranchMap(), b.BranchMap()) {
 		t.Fatalf("identical op sequences produced different maps")
 	}
 }
@@ -153,7 +246,7 @@ func TestTracerReset(t *testing.T) {
 	}
 	// prev state must also reset: a single op should land at slot == id.
 	tr.PMOp(SiteID(0x33))
-	if tr.PMMap()[0x33] != 1 {
+	if tr.PMMap().counts[0x33] != 1 {
 		t.Fatalf("prev PM id not reset")
 	}
 }
@@ -179,8 +272,8 @@ func TestVirginMergeNewSlotThenBucket(t *testing.T) {
 	if newSlot || !newBucket {
 		t.Fatalf("bucket merge: newSlot=%v newBucket=%v, want false,true", newSlot, newBucket)
 	}
-	if v.CoveredSlots() != 1 {
-		t.Fatalf("CoveredSlots = %d, want 1", v.CoveredSlots())
+	if coveredSlots(v) != 1 {
+		t.Fatalf("covered slots = %d, want 1", coveredSlots(v))
 	}
 }
 
@@ -188,18 +281,18 @@ func TestVirginPeekDoesNotMutate(t *testing.T) {
 	v := NewVirgin()
 	var m Map
 	m.Hit(9)
-	ns, _ := v.Peek(&m)
+	ns, _ := peek(v, &m)
 	if !ns {
-		t.Fatalf("Peek missed new slot")
+		t.Fatalf("peek missed new slot")
 	}
-	ns, _ = v.Peek(&m)
+	ns, _ = peek(v, &m)
 	if !ns {
-		t.Fatalf("Peek mutated virgin state")
+		t.Fatalf("peek mutated virgin state")
 	}
 }
 
 func TestVirginPeekMatchesMergeProperty(t *testing.T) {
-	// Property: for random maps, Peek's answer always equals what Merge
+	// Property: for random maps, peek's answer always equals what Merge
 	// then reports, when asked before the merge.
 	f := func(locs []uint16) bool {
 		v := NewVirgin()
@@ -213,7 +306,7 @@ func TestVirginPeekMatchesMergeProperty(t *testing.T) {
 		for _, l := range locs {
 			m.Hit(uint32(l))
 		}
-		pSlot, pBucket := v.Peek(&m)
+		pSlot, pBucket := peek(v, &m)
 		mSlot, mBucket := v.Merge(&m)
 		return pSlot == mSlot && pBucket == mBucket
 	}
@@ -268,8 +361,8 @@ func TestVirginMergeFromReportsNovelty(t *testing.T) {
 	if !newSlot || !newBucket {
 		t.Fatalf("MergeFrom: newSlot=%v newBucket=%v, want true,true", newSlot, newBucket)
 	}
-	if a.CoveredSlots() != 2 || a.CoveredStates() != 3 {
-		t.Fatalf("after merge: slots=%d states=%d, want 2/3", a.CoveredSlots(), a.CoveredStates())
+	if coveredSlots(a) != 2 || a.CoveredStates() != 3 {
+		t.Fatalf("after merge: slots=%d states=%d, want 2/3", coveredSlots(a), a.CoveredStates())
 	}
 	// Re-merging the same shard must report nothing new.
 	newSlot, newBucket = a.MergeFrom(b)
@@ -349,7 +442,109 @@ func TestCoveredStates(t *testing.T) {
 	if got := v.CoveredStates(); got != 3 {
 		t.Fatalf("CoveredStates = %d, want 3", got)
 	}
-	if got := v.CoveredSlots(); got != 2 {
-		t.Fatalf("CoveredSlots = %d, want 2", got)
+	if got := coveredSlots(v); got != 2 {
+		t.Fatalf("covered slots = %d, want 2", got)
+	}
+}
+
+// TestSparseMapMatchesDense drives one reused Map and one pair of
+// virgins through random executions and checks every hit-list result
+// against the dense reference scans: Merge novelty flags and virgin
+// bytes, Signature, CountNonZero and the hit list itself. Executions mix
+// hot slots that saturate past 255, locations that XOR-fold onto the
+// same slot, and plain random slots; the Map is Reset between them.
+func TestSparseMapMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var m Map
+	sparse, dense := NewVirgin(), NewVirgin()
+	for round := 0; round < 300; round++ {
+		m.Reset()
+		var ref [MapSize]uint8
+		hit := func(loc uint32) {
+			m.Hit(loc)
+			if i := loc % MapSize; ref[i] != 0xff {
+				ref[i]++
+			}
+		}
+		// Hot slots: some saturate, some stop in mid buckets.
+		for k := rng.Intn(4); k > 0; k-- {
+			loc := uint32(rng.Intn(64))
+			for n := rng.Intn(400); n > 0; n-- {
+				hit(loc)
+			}
+		}
+		// Folded collisions: distinct locations, one slot.
+		for k := rng.Intn(4); k > 0; k-- {
+			base := uint32(rng.Intn(MapSize))
+			for n := rng.Intn(5); n >= 0; n-- {
+				hit(base + uint32(rng.Intn(1<<8))<<16)
+			}
+		}
+		// Tracer-style XOR-encoded transitions over a small site set.
+		prev := uint32(0)
+		for k := rng.Intn(60); k > 0; k-- {
+			cur := uint32(rng.Intn(32)) * 2654435761
+			hit(cur ^ prev)
+			prev = cur >> 1
+		}
+
+		if m.counts != ref {
+			t.Fatalf("round %d: counters diverged from reference", round)
+		}
+		nonZero := 0
+		for _, c := range ref {
+			if c != 0 {
+				nonZero++
+			}
+		}
+		if got := m.CountNonZero(); got != nonZero {
+			t.Fatalf("round %d: CountNonZero = %d, want %d", round, got, nonZero)
+		}
+		listed := map[uint16]bool{}
+		for _, i := range m.hits {
+			if listed[i] || ref[i] == 0 {
+				t.Fatalf("round %d: hit list holds slot %d twice or unhit", round, i)
+			}
+			listed[i] = true
+		}
+		if got, want := Signature(&m), denseSignature(&ref); got != want {
+			t.Fatalf("round %d: Signature = %x, want %x", round, got, want)
+		}
+		// Signature sorted the list; merging afterwards must not care.
+		sSlot, sBucket := sparse.Merge(&m)
+		dSlot, dBucket := denseMerge(dense, &ref)
+		if sSlot != dSlot || sBucket != dBucket {
+			t.Fatalf("round %d: Merge = %v,%v, want %v,%v", round, sSlot, sBucket, dSlot, dBucket)
+		}
+		if *sparse != *dense {
+			t.Fatalf("round %d: virgin bytes diverged from reference", round)
+		}
+		if got, want := Signature(&m), denseSignature(&ref); got != want {
+			t.Fatalf("round %d: repeated Signature = %x, want %x", round, got, want)
+		}
+	}
+	m.Reset()
+	var zero [MapSize]uint8
+	if m.counts != zero || m.CountNonZero() != 0 {
+		t.Fatalf("Reset left counters behind")
+	}
+	if got, want := Signature(&m), denseSignature(&zero); got != want {
+		t.Fatalf("empty Signature = %x, want %x", got, want)
+	}
+}
+
+func TestMapCloneIndependent(t *testing.T) {
+	var m Map
+	m.Hit(3)
+	m.Hit(3)
+	m.Hit(70)
+	c := m.Clone()
+	m.Reset()
+	m.Hit(9)
+	if c.counts[3] != 2 || c.counts[70] != 1 || c.counts[9] != 0 || c.CountNonZero() != 2 {
+		t.Fatalf("clone changed with its source: %d %d %d n=%d", c.counts[3], c.counts[70], c.counts[9], c.CountNonZero())
+	}
+	if c.Counter(3) != 2 || c.Counter(3+MapSize) != 2 {
+		t.Fatalf("Counter did not read the folded slot")
 	}
 }

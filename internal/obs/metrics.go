@@ -26,9 +26,12 @@ import (
 type Stage int
 
 // The accounted stages: input/image mutation, target execution, the
-// crash-image sweep (journaled run plus materialization), the
-// coordinator's batch merge, image-store put/get, and the oracle's
-// per-class representative checks.
+// crash-image sweep (journaled run plus materialization), coverage
+// merge, image-store put/get, and the oracle's per-class representative
+// checks. Merge covers each fuzzed execution's feedback step (both
+// virgin merges, the recovery-virgin merge and the PM-path signature,
+// in the serial loop and in every worker) and the coordinator's batch
+// merge of worker results.
 const (
 	StageMutate Stage = iota
 	StageExec
